@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, and the tier-1 test suite.
+# CI gate: formatting, lints, build, the tier-1 test suite, and the
+# oracle, recovery and daemon smokes.
 #
-# Mirrors .github/workflows/ci.yml so the same checks run locally before a
+# This script is the one definition of CI: .github/workflows/ci.yml runs it
+# after installing the toolchain, so the same checks run locally before a
 # push. The workspace has no external dependencies, so everything works
 # offline.
 set -euo pipefail
@@ -46,6 +48,9 @@ cargo run --release -q -p consim-check --bin fuzz -- --cases 200 --seed 11 --res
 
 echo "== fast-path fuzz smoke (high-locality bias, fixed seed) =="
 cargo run --release -q -p consim-check --bin fuzz -- --cases 200 --seed 19 --high-locality
+
+echo "== determinism across thread counts (CONSIM_THREADS=4) =="
+CONSIM_THREADS=4 cargo test -q --test determinism
 
 echo "== audit + trace smoke (release run_all at tiny quotas) =="
 smoke_dir="$(mktemp -d)"

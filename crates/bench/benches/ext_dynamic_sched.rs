@@ -11,19 +11,22 @@
 use consim::engine::SimulationConfig;
 use consim::report::TextTable;
 use consim::Simulation;
+use consim_job::runner::RunOptions;
 use consim_sched::SchedulingPolicy;
 use consim_types::config::{MachineConfig, SharingDegree};
 use consim_workload::WorkloadKind;
 
 fn main() {
-    let refs: u64 = std::env::var("CONSIM_REFS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60_000);
-    let warmup: u64 = std::env::var("CONSIM_WARMUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let RunOptions {
+        refs_per_vm: refs,
+        warmup_refs_per_vm: warmup,
+        ..
+    } = RunOptions {
+        refs_per_vm: 60_000,
+        warmup_refs_per_vm: 200_000,
+        ..RunOptions::default()
+    }
+    .from_env();
 
     let mut table = TextTable::new(
         "Extension: dynamic random rescheduling (Mix C, shared-4-way)",

@@ -82,6 +82,7 @@ fn main() {
                 digest,
                 options.seeds,
                 LlcPartitioning::None.label(),
+                ctx.runner().workers(),
                 flags.audit,
             )
             .expect("write manifest.json");

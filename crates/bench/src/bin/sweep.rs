@@ -108,6 +108,7 @@ fn main() {
                 digest_of(&(&options, &which)),
                 options.seeds,
                 LlcPartitioning::None.label(),
+                runner.workers(),
                 flags.audit,
             )
             .expect("write manifest.json");

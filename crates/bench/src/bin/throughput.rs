@@ -114,6 +114,7 @@ fn main() {
                 digest_of(&opts),
                 opts.seeds,
                 LlcPartitioning::None.label(),
+                parallel_runner.workers(),
                 flags.audit,
             )
             .expect("write manifest.json");

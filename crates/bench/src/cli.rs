@@ -238,20 +238,6 @@ pub fn guard_manifest_digest(dir: &Path, digest: &str) -> Result<(), String> {
     }
 }
 
-/// The worker-thread count the runner will resolve to, for the manifest:
-/// `CONSIM_THREADS` if set and valid, else the machine's parallelism.
-pub fn thread_count() -> usize {
-    std::env::var("CONSIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
 /// One `--trace` run: a JSONL sink streaming to `<dir>/events.jsonl`, and
 /// the bookkeeping needed to write `manifest.json` when the bin finishes.
 #[derive(Debug)]
@@ -300,44 +286,30 @@ impl TraceSession {
     /// directory, the per-job configuration digests of its committed
     /// `job-<digest>.bin` records, and a content digest of every
     /// journal/checkpoint record (sorted by path, so the manifest is
-    /// deterministic). The journal namespace is flat; legacy per-batch
-    /// subdirectories from pre-job-layer runs are still digested. Call
-    /// after the run, when the journal holds its final records.
+    /// deterministic). Call after the run, when the journal holds its
+    /// final records.
     pub fn note_journal(&mut self, dir: &Path) {
         self.resumed_from = Some(dir.display().to_string());
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
         let mut records: Vec<(PathBuf, String)> = Vec::new();
         let mut jobs: Vec<String> = Vec::new();
-        let mut digest_records_in = |dir: &Path| {
-            let Ok(files) = std::fs::read_dir(dir) else {
-                return;
-            };
-            for file in files.filter_map(Result::ok) {
-                let path = file.path();
-                let is_record = path.extension().is_some_and(|x| x == "bin" || x == "ckpt");
-                if !is_record {
-                    continue;
-                }
-                if let Ok(bytes) = std::fs::read(&path) {
-                    records.push((path, digest_of(bytes.as_slice())));
-                }
-            }
-        };
-        digest_records_in(dir);
-        let entries = match std::fs::read_dir(dir) {
-            Ok(entries) => entries,
-            Err(_) => return,
-        };
         for entry in entries.filter_map(Result::ok) {
             let path = entry.path();
-            if path.is_dir() {
-                digest_records_in(&path);
-            } else if let Some(digest) = path
+            if !path.extension().is_some_and(|x| x == "bin" || x == "ckpt") {
+                continue;
+            }
+            if let Some(digest) = path
                 .file_name()
                 .and_then(|n| n.to_str())
                 .and_then(|n| n.strip_prefix("job-"))
                 .and_then(|n| n.strip_suffix(".bin"))
             {
                 jobs.push(digest.to_string());
+            }
+            if let Ok(bytes) = std::fs::read(&path) {
+                records.push((path, digest_of(bytes.as_slice())));
             }
         }
         records.sort();
@@ -347,6 +319,8 @@ impl TraceSession {
     }
 
     /// Flushes the trace and writes `manifest.json`; returns its path.
+    /// `threads` is the worker-pool width the run resolved to
+    /// ([`consim_job::runner::ExperimentRunner::workers`]).
     ///
     /// # Errors
     ///
@@ -357,6 +331,7 @@ impl TraceSession {
         config_digest: String,
         seeds: Vec<u64>,
         llc_partitioning: String,
+        threads: usize,
         audit: bool,
     ) -> io::Result<PathBuf> {
         self.sink.flush()?;
@@ -366,7 +341,7 @@ impl TraceSession {
             config_digest,
             seeds,
             llc_partitioning,
-            threads: thread_count(),
+            threads,
             audit,
             wall_seconds: self.started.elapsed().as_secs_f64(),
             trace_lines: self.sink.lines(),
@@ -464,20 +439,17 @@ mod tests {
                 "0123456789abcdef".to_string(),
                 vec![7],
                 "none".to_string(),
+                1,
                 true,
             )
             .unwrap();
         let manifest = std::fs::read_to_string(&path).unwrap();
         assert!(manifest.contains("\"bin\": \"run_all\""));
         assert!(manifest.contains("\"trace_lines\": 1"));
+        assert!(manifest.contains("\"threads\": 1"));
         let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
         assert!(events.lines().next().unwrap().contains("\"run_started\""));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn thread_count_is_at_least_one() {
-        assert!(thread_count() >= 1);
     }
 
     #[test]
@@ -540,28 +512,19 @@ mod tests {
         std::fs::write(dir.join("job-00000000000000bb.bin"), b"one").unwrap();
         std::fs::write(dir.join("job-00000000000000aa.ckpt"), b"zero").unwrap();
         std::fs::write(dir.join("notes.txt"), b"ignored").unwrap();
-        // Legacy per-batch subdirectory: still digested, but its records
-        // don't contribute per-job digests (different naming scheme).
-        let batch = dir.join("batch-0123");
-        std::fs::create_dir_all(&batch).unwrap();
-        std::fs::write(batch.join("job-0001.bin"), b"legacy").unwrap();
         let mut session = TraceSession::create(&dir.join("trace")).unwrap();
         session.note_journal(&dir);
         assert_eq!(
             session.checkpoints.len(),
-            3,
+            2,
             "only .bin/.ckpt records count"
         );
-        let expected = vec![
-            digest_of(b"legacy".as_slice()),
-            digest_of(b"zero".as_slice()),
-            digest_of(b"one".as_slice()),
-        ];
+        let expected = vec![digest_of(b"zero".as_slice()), digest_of(b"one".as_slice())];
         assert_eq!(session.checkpoints, expected, "sorted by path");
         assert_eq!(
             session.jobs,
             vec!["00000000000000bb".to_string()],
-            "per-job digests come from committed .bin names at the top level"
+            "per-job digests come from committed .bin names"
         );
         assert_eq!(
             session.resumed_from.as_deref(),

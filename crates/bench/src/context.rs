@@ -1,118 +1,32 @@
 //! Shared, memoizing experiment context for figure regeneration.
 //!
-//! Two layers of caching keep `run_all` from re-simulating anything:
+//! [`FigureContext`] keeps one memo of simulated cells keyed by
+//! (instances, policy, sharing), so `run_all` never re-simulates anything:
+//! every figure normalizes against one of a handful of isolation baselines
+//! (single-workload cells), and overlapping figures (5/6/7, 8/9/10) read
+//! the same mix cells. [`FigureContext::prefetch`] fans every
+//! not-yet-cached cell out across the runner's worker pool in one
+//! [`ExperimentRunner::run_cells`] batch.
 //!
-//! * [`BaselineCache`] holds single-workload isolation runs keyed by
-//!   (kind, policy, sharing, run options). Every figure normalizes against
-//!   one of a handful of isolation baselines, so sharing this cache across
-//!   regenerators — even ones using different contexts — computes each
-//!   baseline exactly once.
-//! * [`FigureContext`] adds a memo for full mix cells and a
-//!   [`FigureContext::prefetch`] entry point that fans every not-yet-cached
-//!   cell out across the runner's worker pool in one
-//!   [`ExperimentRunner::run_cells`] batch.
-//!
-//! Both are `Sync`: interior mutability is `Mutex`-based and results are
-//! handed out as `Arc`s, so regenerators may run from multiple threads.
+//! The context is `Sync`: the memo is `Mutex`-based and results are handed
+//! out as `Arc`s, so regenerators may run from multiple threads.
 
 use consim_job::runner::{ExperimentCell, ExperimentRunner, MixRun, RunOptions};
 use consim_sched::SchedulingPolicy;
 use consim_types::config::SharingDegree;
 use consim_types::SimError;
 use consim_workload::WorkloadKind;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A cache key for one mix cell.
+/// A cache key for one cell.
 type Key = (Vec<WorkloadKind>, SchedulingPolicy, String);
 
-/// A cache key for one isolation baseline. Includes the run options so
-/// contexts with different measurement settings (e.g. Table II's
-/// footprint-tracking runner) never alias.
-type BaselineKey = (WorkloadKind, SchedulingPolicy, String, RunOptions);
-
-/// Process-wide cache of single-workload isolation runs.
-///
-/// # Examples
-///
-/// ```
-/// use consim_bench::BaselineCache;
-/// use consim_job::runner::{ExperimentRunner, RunOptions};
-/// use consim_sched::SchedulingPolicy;
-/// use consim_types::config::SharingDegree;
-/// use consim_workload::WorkloadKind;
-///
-/// let cache = BaselineCache::new();
-/// let runner = ExperimentRunner::new(RunOptions::quick());
-/// let a = cache.get_or_run(&runner, WorkloadKind::TpcH,
-///                          SchedulingPolicy::Affinity,
-///                          SharingDegree::FullyShared).unwrap();
-/// let b = cache.get_or_run(&runner, WorkloadKind::TpcH,
-///                          SchedulingPolicy::Affinity,
-///                          SharingDegree::FullyShared).unwrap();
-/// assert!(std::sync::Arc::ptr_eq(&a, &b)); // simulated once
-/// ```
-#[derive(Debug, Default)]
-pub struct BaselineCache {
-    memo: Mutex<HashMap<BaselineKey, Arc<MixRun>>>,
+fn key_of(instances: &[WorkloadKind], policy: SchedulingPolicy, sharing: SharingDegree) -> Key {
+    (instances.to_vec(), policy, sharing.label())
 }
 
-impl BaselineCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached isolation run for `(kind, policy, sharing)` under
-    /// `runner`'s options, simulating it on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine configuration/placement errors.
-    pub fn get_or_run(
-        &self,
-        runner: &ExperimentRunner,
-        kind: WorkloadKind,
-        policy: SchedulingPolicy,
-        sharing: SharingDegree,
-    ) -> Result<Arc<MixRun>, SimError> {
-        let key = (kind, policy, sharing.label(), runner.options().clone());
-        if let Some(hit) = self.memo.lock().expect("baseline memo poisoned").get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        let run = Arc::new(runner.isolated(kind, policy, sharing)?);
-        self.insert(key, Arc::clone(&run));
-        Ok(run)
-    }
-
-    /// Cached baseline, if present (no simulation).
-    fn get(&self, key: &BaselineKey) -> Option<Arc<MixRun>> {
-        self.memo
-            .lock()
-            .expect("baseline memo poisoned")
-            .get(key)
-            .cloned()
-    }
-
-    fn insert(&self, key: BaselineKey, run: Arc<MixRun>) {
-        self.memo
-            .lock()
-            .expect("baseline memo poisoned")
-            .insert(key, run);
-    }
-
-    /// Number of cached baselines.
-    pub fn len(&self) -> usize {
-        self.memo.lock().expect("baseline memo poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// An [`ExperimentRunner`] plus memo tables, so figures that share cells
+/// An [`ExperimentRunner`] plus a memo table, so figures that share cells
 /// (e.g. every figure needs the isolation baselines) don't re-simulate
 /// them.
 ///
@@ -136,39 +50,20 @@ impl BaselineCache {
 pub struct FigureContext {
     runner: ExperimentRunner,
     memo: Mutex<HashMap<Key, Arc<MixRun>>>,
-    baselines: Arc<BaselineCache>,
 }
 
 impl FigureContext {
-    /// Creates a context with explicit options and a private baseline
-    /// cache.
+    /// Creates a context with explicit options.
     pub fn new(options: RunOptions) -> Self {
-        Self::with_baselines(options, Arc::new(BaselineCache::new()))
-    }
-
-    /// Creates a context sharing an existing baseline cache (so several
-    /// contexts with different options — or several regenerators — reuse
-    /// isolation runs wherever the options match).
-    pub fn with_baselines(options: RunOptions, baselines: Arc<BaselineCache>) -> Self {
-        Self::with_runner_and_baselines(ExperimentRunner::new(options), baselines)
+        Self::with_runner(ExperimentRunner::new(options))
     }
 
     /// Creates a context around an already-configured runner (e.g. one
-    /// carrying a trace sink or an explicit audit setting) and a private
-    /// baseline cache.
+    /// carrying a trace sink or an explicit audit setting).
     pub fn with_runner(runner: ExperimentRunner) -> Self {
-        Self::with_runner_and_baselines(runner, Arc::new(BaselineCache::new()))
-    }
-
-    /// [`FigureContext::with_runner`] with a shared baseline cache.
-    pub fn with_runner_and_baselines(
-        runner: ExperimentRunner,
-        baselines: Arc<BaselineCache>,
-    ) -> Self {
         Self {
             runner,
             memo: Mutex::new(HashMap::new()),
-            baselines,
         }
     }
 
@@ -186,37 +81,16 @@ impl FigureContext {
         .from_env()
     }
 
-    /// A context with [`FigureContext::figure_options`].
-    pub fn for_figures() -> Self {
-        Self::new(Self::figure_options())
-    }
-
     /// The underlying runner.
     pub fn runner(&self) -> &ExperimentRunner {
         &self.runner
     }
 
-    /// The shared baseline cache.
-    pub fn baselines(&self) -> &Arc<BaselineCache> {
-        &self.baselines
+    fn memo(&self) -> MutexGuard<'_, HashMap<Key, Arc<MixRun>>> {
+        self.memo.lock().expect("figure memo poisoned")
     }
 
-    fn baseline_key(
-        &self,
-        kind: WorkloadKind,
-        policy: SchedulingPolicy,
-        label: &str,
-    ) -> BaselineKey {
-        (
-            kind,
-            policy,
-            label.to_owned(),
-            self.runner.options().clone(),
-        )
-    }
-
-    /// Runs (or recalls) one experiment cell. Single-workload cells are
-    /// isolation baselines and go through the shared [`BaselineCache`].
+    /// Runs (or recalls) one experiment cell.
     ///
     /// # Errors
     ///
@@ -227,25 +101,17 @@ impl FigureContext {
         policy: SchedulingPolicy,
         sharing: SharingDegree,
     ) -> Result<Arc<MixRun>, SimError> {
-        if let [kind] = instances {
-            return self
-                .baselines
-                .get_or_run(&self.runner, *kind, policy, sharing);
-        }
-        let key = (instances.to_vec(), policy, sharing.label());
-        if let Some(hit) = self.memo.lock().expect("figure memo poisoned").get(&key) {
+        let key = key_of(instances, policy, sharing);
+        if let Some(hit) = self.memo().get(&key) {
             return Ok(Arc::clone(hit));
         }
         let run = Arc::new(self.runner.run(instances, policy, sharing)?);
-        self.memo
-            .lock()
-            .expect("figure memo poisoned")
-            .insert(key, Arc::clone(&run));
+        self.memo().insert(key, Arc::clone(&run));
         Ok(run)
     }
 
     /// Simulates every not-yet-cached cell of `cells` in one parallel
-    /// [`ExperimentRunner::run_cells`] batch, filling the memo tables.
+    /// [`ExperimentRunner::run_cells`] batch, filling the memo.
     /// Subsequent [`FigureContext::run`] calls on these cells are cache
     /// hits, so figure regeneration after a prefetch does no simulation.
     ///
@@ -258,52 +124,25 @@ impl FigureContext {
         &self,
         cells: &[(Vec<WorkloadKind>, SchedulingPolicy, SharingDegree)],
     ) -> Result<(), SimError> {
-        let mut pending: Vec<&(Vec<WorkloadKind>, SchedulingPolicy, SharingDegree)> = Vec::new();
-        let mut submitted: HashMap<Key, ()> = HashMap::new();
-        for cell in cells {
-            let (instances, policy, sharing) = cell;
-            let key = (instances.clone(), *policy, sharing.label());
-            if submitted.contains_key(&key) {
-                continue;
+        let mut pending: Vec<(Key, ExperimentCell)> = Vec::new();
+        {
+            let memo = self.memo();
+            let mut submitted: HashSet<Key> = HashSet::new();
+            for (instances, policy, sharing) in cells {
+                let key = key_of(instances, *policy, *sharing);
+                if !memo.contains_key(&key) && submitted.insert(key.clone()) {
+                    let cell = ExperimentCell::of_kinds(instances, *policy, *sharing);
+                    pending.push((key, cell));
+                }
             }
-            let cached = if let [kind] = instances.as_slice() {
-                self.baselines
-                    .get(&self.baseline_key(*kind, *policy, &sharing.label()))
-                    .is_some()
-            } else {
-                self.memo
-                    .lock()
-                    .expect("figure memo poisoned")
-                    .contains_key(&key)
-            };
-            if cached {
-                continue;
-            }
-            submitted.insert(key, ());
-            pending.push(cell);
         }
         if pending.is_empty() {
             return Ok(());
         }
-        let batch: Vec<ExperimentCell> = pending
-            .iter()
-            .map(|(instances, policy, sharing)| {
-                ExperimentCell::of_kinds(instances, *policy, *sharing)
-            })
-            .collect();
+        let (keys, batch): (Vec<Key>, Vec<ExperimentCell>) = pending.into_iter().unzip();
         let runs = self.runner.run_cells(&batch)?;
-        for ((instances, policy, sharing), run) in pending.into_iter().zip(runs) {
-            let run = Arc::new(run);
-            if let [kind] = instances.as_slice() {
-                self.baselines
-                    .insert(self.baseline_key(*kind, *policy, &sharing.label()), run);
-            } else {
-                self.memo
-                    .lock()
-                    .expect("figure memo poisoned")
-                    .insert((instances.clone(), *policy, sharing.label()), run);
-            }
-        }
+        self.memo()
+            .extend(keys.into_iter().zip(runs.into_iter().map(Arc::new)));
         Ok(())
     }
 
@@ -323,7 +162,7 @@ impl FigureContext {
 
     /// Number of memoized cells, baselines included (for tests).
     pub fn cached_cells(&self) -> usize {
-        self.memo.lock().expect("figure memo poisoned").len() + self.baselines.len()
+        self.memo().len()
     }
 }
 
@@ -372,26 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn baselines_shared_across_contexts() {
-        let baselines = Arc::new(BaselineCache::new());
-        let a_ctx = FigureContext::with_baselines(tiny_options(), Arc::clone(&baselines));
-        let b_ctx = FigureContext::with_baselines(tiny_options(), Arc::clone(&baselines));
-        let a = a_ctx.baseline(WorkloadKind::TpcH).unwrap();
-        let b = b_ctx.baseline(WorkloadKind::TpcH).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "baseline must be simulated once");
-        assert_eq!(baselines.len(), 1);
-
-        // Different options must not alias.
-        let mut other = tiny_options();
-        other.refs_per_vm = 600;
-        let c_ctx = FigureContext::with_baselines(other, Arc::clone(&baselines));
-        let c = c_ctx.baseline(WorkloadKind::TpcH).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(baselines.len(), 2);
-    }
-
-    #[test]
-    fn prefetch_fills_both_caches_and_matches_serial() {
+    fn prefetch_fills_memo_and_matches_serial() {
         let cells = vec![
             (
                 vec![WorkloadKind::TpcH],
@@ -447,6 +267,5 @@ mod tests {
     fn context_is_sync() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<FigureContext>();
-        assert_sync::<BaselineCache>();
     }
 }

@@ -18,7 +18,7 @@
 use crate::context::FigureContext;
 use consim::mix::Mix;
 use consim::report::TextTable;
-use consim_job::runner::{ExperimentCell, RunOptions, VmAggregate};
+use consim_job::runner::{ExperimentCell, VmAggregate};
 use consim_sched::SchedulingPolicy;
 use consim_types::config::{
     ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfig, SharingDegree,
@@ -740,6 +740,43 @@ pub fn run_all_cells() -> Vec<(Vec<WorkloadKind>, SchedulingPolicy, SharingDegre
     cells
 }
 
+/// A figure regenerator over a shared context.
+pub type Exhibit = fn(&FigureContext) -> Result<TextTable, SimError>;
+
+/// Every context-driven exhibit, in the order [`run_all`] prints them
+/// (after the static [`table4`]), each named after its function — the
+/// name of its golden snapshot in `tests/golden/`.
+pub const EXHIBITS: [(&str, Exhibit); 16] = [
+    ("table2", table2),
+    ("fig02_isolated_performance", fig02_isolated_performance),
+    ("fig03_isolated_missrate", fig03_isolated_missrate),
+    ("fig04_isolated_misslatency", fig04_isolated_misslatency),
+    (
+        "fig05_homogeneous_performance",
+        fig05_homogeneous_performance,
+    ),
+    (
+        "fig06_homogeneous_misslatency",
+        fig06_homogeneous_misslatency,
+    ),
+    ("fig07_homogeneous_missrate", fig07_homogeneous_missrate),
+    (
+        "fig08_heterogeneous_performance",
+        fig08_heterogeneous_performance,
+    ),
+    ("fig09_heterogeneous_missrate", fig09_heterogeneous_missrate),
+    (
+        "fig10_heterogeneous_misslatency",
+        fig10_heterogeneous_misslatency,
+    ),
+    ("fig11_sharing_degree", fig11_sharing_degree),
+    ("fig12_replication", fig12_replication),
+    ("fig13_occupancy", fig13_occupancy),
+    ("fig14_partitioning", fig14_partitioning),
+    ("fig15_dynamic_partitioning", fig15_dynamic_partitioning),
+    ("fig16_lifecycle_churn", fig16_lifecycle_churn),
+];
+
 /// Regenerates every exhibit, printing each table (used by the `run_all`
 /// binary). All cells are prefetched through the context's parallel batch
 /// API first, so the figure code below only reads cached results.
@@ -750,26 +787,8 @@ pub fn run_all_cells() -> Vec<(Vec<WorkloadKind>, SchedulingPolicy, SharingDegre
 pub fn run_all(ctx: &FigureContext) -> Result<(), SimError> {
     ctx.prefetch(&run_all_cells())?;
     println!("{}", table4());
-    println!("{}", table2(ctx)?);
-    println!("{}", fig02_isolated_performance(ctx)?);
-    println!("{}", fig03_isolated_missrate(ctx)?);
-    println!("{}", fig04_isolated_misslatency(ctx)?);
-    println!("{}", fig05_homogeneous_performance(ctx)?);
-    println!("{}", fig06_homogeneous_misslatency(ctx)?);
-    println!("{}", fig07_homogeneous_missrate(ctx)?);
-    println!("{}", fig08_heterogeneous_performance(ctx)?);
-    println!("{}", fig09_heterogeneous_missrate(ctx)?);
-    println!("{}", fig10_heterogeneous_misslatency(ctx)?);
-    println!("{}", fig11_sharing_degree(ctx)?);
-    println!("{}", fig12_replication(ctx)?);
-    println!("{}", fig13_occupancy(ctx)?);
-    println!("{}", fig14_partitioning(ctx)?);
-    println!("{}", fig15_dynamic_partitioning(ctx)?);
-    println!("{}", fig16_lifecycle_churn(ctx)?);
+    for (_, render) in EXHIBITS {
+        println!("{}", render(ctx)?);
+    }
     Ok(())
-}
-
-/// Convenience used by tests and benches: quick context with short runs.
-pub fn quick_context() -> FigureContext {
-    FigureContext::new(RunOptions::quick())
 }

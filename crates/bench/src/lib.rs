@@ -1,27 +1,32 @@
 //! Benchmark and figure-regeneration harness for the `consim` workspace.
 //!
 //! Every table and figure in the paper's evaluation section has a
-//! regenerator here:
+//! regenerator in [`figures`], and the `run_all` binary prints them all
+//! from one process (every cell prefetched in one batch across the worker
+//! pool, then memoized across figures by [`FigureContext`]):
 //!
-//! | Exhibit | Function | Bench target |
-//! |---|---|---|
-//! | Table II | [`figures::table2`] | `table2` |
-//! | Table IV | [`figures::table4`] | `table4` |
-//! | Fig. 2 | [`figures::fig02_isolated_performance`] | `fig02_isolated_perf` |
-//! | Fig. 3 | [`figures::fig03_isolated_missrate`] | `fig03_isolated_missrate` |
-//! | Fig. 4 | [`figures::fig04_isolated_misslatency`] | `fig04_isolated_misslat` |
-//! | Fig. 5 | [`figures::fig05_homogeneous_performance`] | `fig05_homog_perf` |
-//! | Fig. 6 | [`figures::fig06_homogeneous_misslatency`] | `fig06_homog_misslat` |
-//! | Fig. 7 | [`figures::fig07_homogeneous_missrate`] | `fig07_homog_missrate` |
-//! | Fig. 8 | [`figures::fig08_heterogeneous_performance`] | `fig08_hetero_perf` |
-//! | Fig. 9 | [`figures::fig09_heterogeneous_missrate`] | `fig09_hetero_missrate` |
-//! | Fig. 10 | [`figures::fig10_heterogeneous_misslatency`] | `fig10_hetero_misslat` |
-//! | Fig. 11 | [`figures::fig11_sharing_degree`] | `fig11_sharing_degree` |
-//! | Fig. 12 | [`figures::fig12_replication`] | `fig12_replication` |
-//! | Fig. 13 | [`figures::fig13_occupancy`] | `fig13_occupancy` |
+//! | Exhibit | Function |
+//! |---|---|
+//! | Table II | [`figures::table2`] |
+//! | Table IV | [`figures::table4`] |
+//! | Fig. 2 | [`figures::fig02_isolated_performance`] |
+//! | Fig. 3 | [`figures::fig03_isolated_missrate`] |
+//! | Fig. 4 | [`figures::fig04_isolated_misslatency`] |
+//! | Fig. 5 | [`figures::fig05_homogeneous_performance`] |
+//! | Fig. 6 | [`figures::fig06_homogeneous_misslatency`] |
+//! | Fig. 7 | [`figures::fig07_homogeneous_missrate`] |
+//! | Fig. 8 | [`figures::fig08_heterogeneous_performance`] |
+//! | Fig. 9 | [`figures::fig09_heterogeneous_missrate`] |
+//! | Fig. 10 | [`figures::fig10_heterogeneous_misslatency`] |
+//! | Fig. 11 | [`figures::fig11_sharing_degree`] |
+//! | Fig. 12 | [`figures::fig12_replication`] |
+//! | Fig. 13 | [`figures::fig13_occupancy`] |
+//! | Fig. 14 (extension) | [`figures::fig14_partitioning`] |
+//! | Fig. 15 (extension) | [`figures::fig15_dynamic_partitioning`] |
+//! | Fig. 16 (extension) | [`figures::fig16_lifecycle_churn`] |
 //!
-//! Extensions and ablations (paper §VII future work and DESIGN.md
-//! design-choice callouts):
+//! Extensions and ablations that `run_all` does not print (paper §VII
+//! future work and DESIGN.md design-choice callouts) are bench targets:
 //!
 //! | Experiment | Bench target |
 //! |---|---|
@@ -31,20 +36,19 @@
 //! | LLC replacement ablation | `ablation_replacement` |
 //! | Memory-bandwidth ablation | `ablation_memory` |
 //!
-//! Each bench target prints the figure's rows/series as a plain-text table;
-//! run-length and seed count are tunable with `CONSIM_REFS`,
-//! `CONSIM_WARMUP`, and `CONSIM_SEEDS`; worker-pool width with
-//! `CONSIM_THREADS`. `cargo bench -p consim-bench` runs everything;
-//! dependency-free timing micro-benchmarks of the substrates live in the
-//! `micro` target. Helper binaries: `run_all` (every exhibit in one
-//! process, batch-prefetched across the worker pool with cross-figure
-//! memoization), `calibrate` (Table II calibration check), `sweep`
-//! (profile-knob search, one parallel batch per workload), `diagnose`
-//! (latency-composition debugging), `throughput` (engine refs/sec probe).
+//! Each prints its rows/series as a plain-text table; run-length and seed
+//! count are tunable with `CONSIM_REFS`, `CONSIM_WARMUP`, and
+//! `CONSIM_SEEDS`; worker-pool width with `CONSIM_THREADS`.
+//! `cargo bench -p consim-bench` runs these five and the `micro` target
+//! (dependency-free timing micro-benchmarks of the substrates). Helper
+//! binaries: `run_all` (every exhibit), `calibrate` (Table II calibration
+//! check), `sweep` (profile-knob search, one parallel batch per workload),
+//! `diagnose` (latency-composition debugging), `throughput` (engine
+//! refs/sec probe), `jobs` (job-layer demo).
 
 pub mod cli;
 pub mod context;
 pub mod figures;
 
 pub use cli::{BenchFlags, TraceSession};
-pub use context::{BaselineCache, FigureContext};
+pub use context::FigureContext;

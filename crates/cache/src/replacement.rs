@@ -12,7 +12,7 @@
 //! characterization trends are not an artifact of true-LRU bookkeeping.
 
 use consim_snap::{SectionBuf, SectionReader, Snapshot};
-use consim_types::{SimError, SimRng, SnapshotErrorKind};
+use consim_types::{SimError, SimRng};
 
 /// Which replacement policy a cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -174,56 +174,6 @@ impl ReplacementState {
                 let pick = rng.index(allowed);
                 nth_set_bit(mask, pick)
             }
-        }
-    }
-}
-
-impl Snapshot for ReplacementState {
-    fn save(&self, w: &mut SectionBuf) {
-        match self {
-            ReplacementState::Lru(order) => {
-                w.put_u8(0);
-                w.put_usize(order.len());
-                for &way in order {
-                    w.put_u32(u32::from(way));
-                }
-            }
-            ReplacementState::TreePlru(bits) => {
-                w.put_u8(1);
-                w.put_usize(bits.len());
-                for &bit in bits {
-                    w.put_bool(bit);
-                }
-            }
-            ReplacementState::Random(rng) => {
-                w.put_u8(2);
-                rng.save(w);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
-        let tag = r.get_u8()?;
-        match (tag, &mut *self) {
-            (0, ReplacementState::Lru(order)) => {
-                r.expect_len(order.len(), "LRU order entries")?;
-                for way in order.iter_mut() {
-                    *way = r.get_u32()? as u16;
-                }
-                Ok(())
-            }
-            (1, ReplacementState::TreePlru(bits)) => {
-                r.expect_len(bits.len(), "PLRU tree bits")?;
-                for bit in bits.iter_mut() {
-                    *bit = r.get_bool()?;
-                }
-                Ok(())
-            }
-            (2, ReplacementState::Random(rng)) => rng.restore(r),
-            (tag, _) => Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
-                format!("replacement-policy tag {tag} does not match configured policy"),
-            )),
         }
     }
 }

@@ -7,13 +7,12 @@
 //! speed; this type is kept as the executable specification of the old
 //! semantics, and the differential tests in
 //! `crates/cache/tests/soa_vs_aos.rs` drive identical operation streams
-//! through both and require exact agreement (hits, victims, masked
-//! allocation, snapshot round-trips).
+//! through both and require exact agreement on hits, victims and masked
+//! allocation, also after a snapshot round-trip of the SoA side.
 
 use crate::line::{CacheLine, LineState};
 use crate::replacement::{ReplacementPolicy, ReplacementState};
-use consim_snap::{SectionBuf, SectionReader, Snapshot};
-use consim_types::{BlockAddr, SimError};
+use consim_types::BlockAddr;
 
 /// A single associative set: up to `ways` lines plus replacement state.
 #[derive(Debug, Clone)]
@@ -147,36 +146,6 @@ impl CacheSet {
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
         self.ways.iter().filter(|w| w.is_some()).count()
-    }
-}
-
-impl Snapshot for CacheSet {
-    fn save(&self, w: &mut SectionBuf) {
-        w.put_usize(self.ways.len());
-        for way in &self.ways {
-            match way {
-                Some(line) => {
-                    w.put_bool(true);
-                    line.save(w);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        self.repl.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
-        r.expect_len(self.ways.len(), "cache ways")?;
-        for way in self.ways.iter_mut() {
-            if r.get_bool()? {
-                let mut line = CacheLine::new(BlockAddr::new(0), LineState::Shared);
-                line.restore(r)?;
-                *way = Some(line);
-            } else {
-                *way = None;
-            }
-        }
-        self.repl.restore(r)
     }
 }
 

@@ -45,8 +45,8 @@ use std::time::Instant;
 
 /// Run-length and replication options shared by every experiment.
 ///
-/// `Eq`/`Hash` let options participate in cache keys (see
-/// `consim-bench`'s `BaselineCache`).
+/// `Hash` feeds the run manifest's configuration digest
+/// (`consim_trace::digest_of`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunOptions {
     /// Measured references per VM.
@@ -413,13 +413,12 @@ impl ExperimentRunner {
         &self.options
     }
 
-    /// Worker threads for a batch of `jobs` simulations: the explicit
-    /// [`ExperimentRunner::with_threads`] setting, else `CONSIM_THREADS`,
-    /// else [`std::thread::available_parallelism`] — never more workers
-    /// than jobs, never zero.
-    fn worker_count(&self, jobs: usize) -> usize {
-        let configured = self
-            .threads
+    /// The worker-pool width this runner resolves to: the explicit
+    /// [`ExperimentRunner::with_threads`] setting, else `CONSIM_THREADS`
+    /// (zero clamped to one), else [`std::thread::available_parallelism`].
+    /// Never zero. A batch with fewer jobs starts fewer workers.
+    pub fn workers(&self) -> usize {
+        self.threads
             .or_else(|| {
                 env_u64("CONSIM_THREADS")
                     .map(|v| clamp_worker_request("CONSIM_THREADS", v as usize))
@@ -428,8 +427,13 @@ impl ExperimentRunner {
                 std::thread::available_parallelism()
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
-            });
-        configured.clamp(1, jobs.max(1))
+            })
+    }
+
+    /// Worker threads for a batch of `jobs` simulations:
+    /// [`ExperimentRunner::workers`], never more than jobs, never zero.
+    fn worker_count(&self, jobs: usize) -> usize {
+        self.workers().clamp(1, jobs.max(1))
     }
 
     /// Runs a mix of built-in workloads.
@@ -841,6 +845,7 @@ mod tests {
         assert_eq!(fingerprint(&zero[0]), fingerprint(&one[0]));
         // And the environment route hits the same clamp.
         let r = tiny_runner().with_threads(0);
+        assert_eq!(r.workers(), 1);
         assert_eq!(r.worker_count(8), 1);
     }
 

@@ -45,105 +45,21 @@ fn bless_requested() -> bool {
     std::env::var("CONSIM_BLESS").is_ok_and(|v| v.trim() == "1")
 }
 
-#[test]
-fn figures_match_golden_snapshots() {
-    let ctx = golden_context();
-    // Rendered lazily in order; the shared context memoizes simulation
-    // cells, so overlapping figures (5/6/7, 8/9/10) reuse each other's runs.
-    let figures: Vec<(&str, String)> = vec![
-        ("table2", figures::table2(&ctx).unwrap().to_string()),
-        ("table4", figures::table4()),
-        (
-            "fig02_isolated_performance",
-            figures::fig02_isolated_performance(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig03_isolated_missrate",
-            figures::fig03_isolated_missrate(&ctx).unwrap().to_string(),
-        ),
-        (
-            "fig04_isolated_misslatency",
-            figures::fig04_isolated_misslatency(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig05_homogeneous_performance",
-            figures::fig05_homogeneous_performance(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig06_homogeneous_misslatency",
-            figures::fig06_homogeneous_misslatency(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig07_homogeneous_missrate",
-            figures::fig07_homogeneous_missrate(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig08_heterogeneous_performance",
-            figures::fig08_heterogeneous_performance(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig09_heterogeneous_missrate",
-            figures::fig09_heterogeneous_missrate(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig10_heterogeneous_misslatency",
-            figures::fig10_heterogeneous_misslatency(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig11_sharing_degree",
-            figures::fig11_sharing_degree(&ctx).unwrap().to_string(),
-        ),
-        (
-            "fig12_replication",
-            figures::fig12_replication(&ctx).unwrap().to_string(),
-        ),
-        (
-            "fig13_occupancy",
-            figures::fig13_occupancy(&ctx).unwrap().to_string(),
-        ),
-        (
-            "fig14_partitioning",
-            figures::fig14_partitioning(&ctx).unwrap().to_string(),
-        ),
-        (
-            "fig15_dynamic_partitioning",
-            figures::fig15_dynamic_partitioning(&ctx)
-                .unwrap()
-                .to_string(),
-        ),
-        (
-            "fig16_lifecycle_churn",
-            figures::fig16_lifecycle_churn(&ctx).unwrap().to_string(),
-        ),
-    ];
-
-    let dir = golden_dir();
-    if bless_requested() {
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, rendered) in &figures {
-            std::fs::write(dir.join(format!("{name}.txt")), rendered).unwrap();
-        }
-        return;
+/// Renders every exhibit in `run_all` order, paired with its golden name.
+fn render_all(ctx: &FigureContext) -> Vec<(&'static str, String)> {
+    let mut rendered = vec![("table4", figures::table4())];
+    for (name, render) in figures::EXHIBITS {
+        rendered.push((name, render(ctx).unwrap().to_string()));
     }
+    rendered
+}
 
+/// Compares each rendered exhibit with its golden file; returns a
+/// readable report of every mismatch (empty when all match).
+fn golden_mismatches(figures: &[(&str, String)]) -> String {
+    let dir = golden_dir();
     let mut report = String::new();
-    for (name, rendered) in &figures {
+    for (name, rendered) in figures {
         let path = dir.join(format!("{name}.txt"));
         match std::fs::read_to_string(&path) {
             Ok(expected) if expected == *rendered => {}
@@ -163,11 +79,53 @@ fn figures_match_golden_snapshots() {
             }
         }
     }
+    report
+}
+
+#[test]
+fn figures_match_golden_snapshots() {
+    // Rendered lazily in order; the shared context memoizes simulation
+    // cells, so overlapping figures (5/6/7, 8/9/10) reuse each other's runs.
+    let figures = render_all(&golden_context());
+
+    if bless_requested() {
+        let dir = golden_dir();
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, rendered) in &figures {
+            std::fs::write(dir.join(format!("{name}.txt")), rendered).unwrap();
+        }
+        return;
+    }
+
+    let report = golden_mismatches(&figures);
     assert!(
         report.is_empty(),
         "golden snapshots differ; if intentional, re-bless with \
          `CONSIM_BLESS=1 cargo test --test golden_figures` and review the diff\n{report}"
     );
+}
+
+/// The `run_all` path: prefetch every cell of
+/// [`figures::run_all_cells`] in one parallel batch, then render. The
+/// output must match the same goldens as the lazy render, and rendering
+/// must not simulate a single memoized cell the prefetch missed.
+#[test]
+fn prefetched_render_matches_golden_snapshots() {
+    if bless_requested() {
+        // Blessed by `figures_match_golden_snapshots`.
+        return;
+    }
+    let ctx = golden_context();
+    ctx.prefetch(&figures::run_all_cells()).unwrap();
+    let prefetched = ctx.cached_cells();
+    let figures = render_all(&ctx);
+    assert_eq!(
+        ctx.cached_cells(),
+        prefetched,
+        "rendering simulated cells that run_all_cells does not list"
+    );
+    let report = golden_mismatches(&figures);
+    assert!(report.is_empty(), "prefetched render differs\n{report}");
 }
 
 /// Checkpoint→resume pins to the *same* goldens: a figure rendered from a
