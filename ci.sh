@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, build, the tier-1 test suite, and the
-# oracle, recovery and daemon smokes.
+# CI gate: formatting, lints, build, the tier-1 test suite, the
+# benchmark's self-test, and the oracle, recovery and daemon smokes.
 #
 # This script is the one definition of CI: .github/workflows/ci.yml runs it
 # after installing the toolchain, so the same checks run locally before a
@@ -26,6 +26,12 @@ cargo test --workspace -q
 
 echo "== workspace tests (release) =="
 cargo test --workspace --release -q
+
+echo "== benchmark build + self-test (perfbench) =="
+# perfbench is its own workspace and builds against these crates by path,
+# so a change to their public API can break `python3 perfbench/run.py`
+# while every workspace step stays green.
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "== differential oracle smoke (consim-check, fixed seed) =="
 # The generator draws dynamic-repartitioning cases at ~30% and lifecycle

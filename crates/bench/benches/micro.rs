@@ -1,17 +1,18 @@
-//! Micro-benchmarks of the simulator substrates: cache lookups, NoC
-//! traversal (both models), directory transitions, workload generation, and
-//! full-engine reference throughput.
+//! Micro-benchmarks of the simulator substrates: cache lookups, contended
+//! NoC sends, directory transitions, workload generation, and full-engine
+//! reference throughput.
 //!
 //! Self-contained timing harness (no external benchmarking crate): each
 //! benchmark warms up briefly, then runs a fixed number of timed batches and
-//! reports ns/op plus ops/sec. For the perf trajectory over PRs, prefer the
-//! `throughput` binary, which emits machine-readable `BENCH_engine.json`.
+//! reports ns/op plus ops/sec. To compare one change against another, use
+//! the `perfbench/` benchmark (`python3 perfbench/run.py`), which times the
+//! engine, the figure campaign and the daemon end to end and per layer.
 
 use consim::engine::SimulationConfig;
 use consim::Simulation;
 use consim_cache::{LineState, ReplacementPolicy, SetAssocCache};
 use consim_coherence::{AccessKind, Directory};
-use consim_noc::{ContentionModel, Mesh, Network, NocConfig, Packet};
+use consim_noc::{ContentionModel, Mesh, Packet};
 use consim_sched::SchedulingPolicy;
 use consim_types::config::{MachineConfig, SharingDegree};
 use consim_types::{BlockAddr, CacheGeometry, CoreId, Cycle, NodeId, SimRng, ThreadId, VmId};
@@ -64,12 +65,6 @@ fn bench_noc() {
             &Packet::data(NodeId::new(0), NodeId::new(15)),
             Cycle::new(t),
         ));
-    });
-
-    bench("noc/flit_packet_drain", 20_000, 1, || {
-        let mut net = Network::new(mesh, NocConfig::default());
-        net.inject(Packet::data(NodeId::new(0), NodeId::new(15)));
-        black_box(net.run_until_idle(1_000).unwrap());
     });
 }
 

@@ -18,13 +18,14 @@
 use crate::context::FigureContext;
 use consim::mix::Mix;
 use consim::report::TextTable;
-use consim_job::runner::{ExperimentCell, VmAggregate};
+use consim_job::runner::{ExperimentCell, MixRun, VmAggregate};
 use consim_sched::SchedulingPolicy;
 use consim_types::config::{
     ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfig, SharingDegree,
 };
 use consim_types::SimError;
 use consim_workload::WorkloadKind;
+use std::sync::Arc;
 
 use SchedulingPolicy::{Affinity, Random, RoundRobin, RrAffinity};
 use SharingDegree::{FullyShared, Private, SharedBy};
@@ -435,6 +436,88 @@ pub fn fig13_occupancy(ctx: &FigureContext) -> Result<TextTable, SimError> {
     Ok(t)
 }
 
+/// Runs `mix` (Figs. 14–16 use the first heterogeneous mix), round robin on
+/// shared-4-way banks, once per machine variant, in order. `None` is the
+/// paper machine, served from the context's memo (the same cell Fig. 13
+/// reads). A variant changes the machine itself, which the memo does not
+/// key on, so it runs on a dedicated runner cloned from the context's
+/// (keeping its audit setting and trace sink).
+fn run_machine_variants(
+    ctx: &FigureContext,
+    mix: &Mix,
+    variants: &[(&str, Option<MachineConfig>)],
+) -> Result<Vec<Arc<MixRun>>, SimError> {
+    let mut runs = Vec::new();
+    for (_, machine) in variants {
+        runs.push(match machine {
+            None => ctx.run(mix.instances(), RoundRobin, SharedBy(4))?,
+            Some(machine) => {
+                let runner = ctx.runner().clone().on_machine(machine.clone());
+                let cell = ExperimentCell::of_kinds(mix.instances(), RoundRobin, SharedBy(4));
+                let run = runner
+                    .run_cells(std::slice::from_ref(&cell))?
+                    .pop()
+                    .expect("one cell in, one run out");
+                Arc::new(run)
+            }
+        });
+    }
+    Ok(runs)
+}
+
+/// Adds one row per VM of `mix`, labelled `{group} vm{vm} {kind}`, holding
+/// `cell(run, vm)` for each run.
+fn vm_rows(
+    t: &mut TextTable,
+    group: &str,
+    mix: &Mix,
+    runs: &[Arc<MixRun>],
+    cell: impl Fn(&MixRun, usize) -> f64,
+) {
+    for (vm, kind) in mix.instances().iter().enumerate() {
+        let row: Vec<f64> = runs.iter().map(|r| cell(r, vm)).collect();
+        t.row(format!("{group} vm{vm} {}", kind.name()), &row);
+    }
+}
+
+/// Figs. 14 and 15: the first heterogeneous mix once per LLC-partitioning
+/// variant, with row groups for per-VM runtime normalized to the first
+/// column, absolute LLC miss rate, and mean bank-capacity share.
+fn partitioning_figure(
+    ctx: &FigureContext,
+    title: &str,
+    variants: &[(&str, Option<MachineConfig>)],
+) -> Result<TextTable, SimError> {
+    let mix = first_heterogeneous_mix();
+    let runs = run_machine_variants(ctx, &mix, variants)?;
+    let cols: Vec<&str> = variants.iter().map(|(l, _)| *l).collect();
+    let mut t = TextTable::new(format!("{title} ({}, rr, shared-4-way)", mix.id()), &cols);
+    vm_rows(&mut t, "runtime", &mix, &runs, |r, vm| {
+        r.vms[vm].runtime_cycles.mean / runs[0].vms[vm].runtime_cycles.mean.max(1e-9)
+    });
+    vm_rows(&mut t, "miss%", &mix, &runs, |r, vm| {
+        r.vms[vm].llc_miss_rate.mean * 100.0
+    });
+    vm_rows(&mut t, "occ%", &mix, &runs, |r, vm| {
+        let banks = r.occupancy.len().max(1) as f64;
+        r.occupancy.iter().map(|bank| bank[vm]).sum::<f64>() / banks * 100.0
+    });
+    Ok(t)
+}
+
+/// The mix Figs. 14–16 study.
+fn first_heterogeneous_mix() -> Mix {
+    Mix::all_heterogeneous()
+        .into_iter()
+        .next()
+        .expect("at least one heterogeneous mix")
+}
+
+/// The paper machine with `partitioning` applied to its LLC.
+fn partitioned(partitioning: LlcPartitioning) -> Option<MachineConfig> {
+    Some(MachineConfig::paper_default().with_llc_partitioning(partitioning))
+}
+
 /// Fig. 14 (extension): per-VM quality of service under LLC way
 /// partitioning — the first heterogeneous mix, round robin on shared-4-way
 /// banks, with the LLC unpartitioned, split equally, and split 8/4/2/2
@@ -446,70 +529,15 @@ pub fn fig13_occupancy(ctx: &FigureContext) -> Result<TextTable, SimError> {
 ///
 /// Propagates engine errors.
 pub fn fig14_partitioning(ctx: &FigureContext) -> Result<TextTable, SimError> {
-    let mix = Mix::all_heterogeneous()
-        .into_iter()
-        .next()
-        .expect("at least one heterogeneous mix");
-    let schemes: [(&str, LlcPartitioning); 3] = [
-        ("none", LlcPartitioning::None),
-        ("equal", LlcPartitioning::EqualWays),
-        ("8/4/2/2", LlcPartitioning::ExplicitWays(vec![8, 4, 2, 2])),
-    ];
-    // The unpartitioned column reuses the context's cached cell (it is the
-    // same run Fig. 13 reads); the partitioned columns change the machine
-    // itself, which the cell cache does not key on, so they run on
-    // dedicated runners cloned from the context's (keeping its audit
-    // setting and trace sink).
-    let mut runs = Vec::new();
-    for (_, scheme) in &schemes {
-        runs.push(match scheme {
-            LlcPartitioning::None => ctx.run(mix.instances(), RoundRobin, SharedBy(4))?,
-            _ => {
-                let machine = MachineConfig::paper_default().with_llc_partitioning(scheme.clone());
-                let runner = ctx.runner().clone().on_machine(machine);
-                let cell = ExperimentCell::of_kinds(mix.instances(), RoundRobin, SharedBy(4));
-                let run = runner
-                    .run_cells(std::slice::from_ref(&cell))?
-                    .pop()
-                    .expect("one cell in, one run out");
-                std::sync::Arc::new(run)
-            }
-        });
-    }
-    let cols: Vec<&str> = schemes.iter().map(|(l, _)| *l).collect();
-    let mut t = TextTable::new(
-        format!(
-            "Fig 14: way-partitioning QoS ({}, rr, shared-4-way)",
-            mix.id()
+    let variants = [
+        ("none", None),
+        ("equal", partitioned(LlcPartitioning::EqualWays)),
+        (
+            "8/4/2/2",
+            partitioned(LlcPartitioning::ExplicitWays(vec![8, 4, 2, 2])),
         ),
-        &cols,
-    );
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let base = runs[0].vms[vm].runtime_cycles.mean.max(1e-9);
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| r.vms[vm].runtime_cycles.mean / base)
-            .collect();
-        t.row(format!("runtime vm{vm} {}", kind.name()), &row);
-    }
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| r.vms[vm].llc_miss_rate.mean * 100.0)
-            .collect();
-        t.row(format!("miss% vm{vm} {}", kind.name()), &row);
-    }
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| {
-                let banks = r.occupancy.len().max(1) as f64;
-                r.occupancy.iter().map(|bank| bank[vm]).sum::<f64>() / banks * 100.0
-            })
-            .collect();
-        t.row(format!("occ% vm{vm} {}", kind.name()), &row);
-    }
-    Ok(t)
+    ];
+    partitioning_figure(ctx, "Fig 14: way-partitioning QoS", &variants)
 }
 
 /// Fig. 15 (extension): closing the QoS loop — the Fig. 14 mix under the
@@ -528,76 +556,23 @@ pub fn fig14_partitioning(ctx: &FigureContext) -> Result<TextTable, SimError> {
 ///
 /// Propagates engine errors.
 pub fn fig15_dynamic_partitioning(ctx: &FigureContext) -> Result<TextTable, SimError> {
-    let mix = Mix::all_heterogeneous()
-        .into_iter()
-        .next()
-        .expect("at least one heterogeneous mix");
-    let schemes: [(&str, LlcPartitioning); 4] = [
-        ("none", LlcPartitioning::None),
-        ("equal", LlcPartitioning::EqualWays),
-        ("8/4/2/2", LlcPartitioning::ExplicitWays(vec![8, 4, 2, 2])),
+    let variants = [
+        ("none", None),
+        ("equal", partitioned(LlcPartitioning::EqualWays)),
+        (
+            "8/4/2/2",
+            partitioned(LlcPartitioning::ExplicitWays(vec![8, 4, 2, 2])),
+        ),
         (
             "dynamic",
-            LlcPartitioning::Dynamic(DynamicPolicy {
+            partitioned(LlcPartitioning::Dynamic(DynamicPolicy {
                 epoch_interval: 10_000,
                 deadband_milli: 0,
                 ..DynamicPolicy::default()
-            }),
+            })),
         ),
     ];
-    // Same cell-cache caveat as Fig. 14: partitioning lives on the machine,
-    // which the context's cell cache does not key on, so every partitioned
-    // column runs on a dedicated runner cloned from the context's.
-    let mut runs = Vec::new();
-    for (_, scheme) in &schemes {
-        runs.push(match scheme {
-            LlcPartitioning::None => ctx.run(mix.instances(), RoundRobin, SharedBy(4))?,
-            _ => {
-                let machine = MachineConfig::paper_default().with_llc_partitioning(scheme.clone());
-                let runner = ctx.runner().clone().on_machine(machine);
-                let cell = ExperimentCell::of_kinds(mix.instances(), RoundRobin, SharedBy(4));
-                let run = runner
-                    .run_cells(std::slice::from_ref(&cell))?
-                    .pop()
-                    .expect("one cell in, one run out");
-                std::sync::Arc::new(run)
-            }
-        });
-    }
-    let cols: Vec<&str> = schemes.iter().map(|(l, _)| *l).collect();
-    let mut t = TextTable::new(
-        format!(
-            "Fig 15: dynamic QoS repartitioning ({}, rr, shared-4-way)",
-            mix.id()
-        ),
-        &cols,
-    );
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let base = runs[0].vms[vm].runtime_cycles.mean.max(1e-9);
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| r.vms[vm].runtime_cycles.mean / base)
-            .collect();
-        t.row(format!("runtime vm{vm} {}", kind.name()), &row);
-    }
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| r.vms[vm].llc_miss_rate.mean * 100.0)
-            .collect();
-        t.row(format!("miss% vm{vm} {}", kind.name()), &row);
-    }
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| {
-                let banks = r.occupancy.len().max(1) as f64;
-                r.occupancy.iter().map(|bank| bank[vm]).sum::<f64>() / banks * 100.0
-            })
-            .collect();
-        t.row(format!("occ% vm{vm} {}", kind.name()), &row);
-    }
-    Ok(t)
+    partitioning_figure(ctx, "Fig 15: dynamic QoS repartitioning", &variants)
 }
 
 /// Fig. 16 (extension): consolidation under VM lifecycle churn — the
@@ -619,10 +594,7 @@ pub fn fig15_dynamic_partitioning(ctx: &FigureContext) -> Result<TextTable, SimE
 ///
 /// Propagates engine errors.
 pub fn fig16_lifecycle_churn(ctx: &FigureContext) -> Result<TextTable, SimError> {
-    let mix = Mix::all_heterogeneous()
-        .into_iter()
-        .next()
-        .expect("at least one heterogeneous mix");
+    let mix = first_heterogeneous_mix();
     let vms = mix.instances().len();
     // Every VM starts active (so each has a real measured quota), epochs
     // fire many times inside even the quick run, and departures leave at
@@ -640,31 +612,14 @@ pub fn fig16_lifecycle_churn(ctx: &FigureContext) -> Result<TextTable, SimError>
         migration_permille: 400,
         ..birth_death.clone()
     };
-    let schemes: [(&str, Option<ChurnPolicy>); 3] = [
+    let churned = |churn| Some(MachineConfig::paper_default().with_churn(churn));
+    let variants = [
         ("static", None),
-        ("birth-death", Some(birth_death)),
-        ("+migration", Some(with_migration)),
+        ("birth-death", churned(birth_death)),
+        ("+migration", churned(with_migration)),
     ];
-    // Same cell-cache caveat as Figs. 14/15: churn lives on the machine,
-    // which the context's cell cache does not key on, so the churned
-    // columns run on dedicated runners cloned from the context's.
-    let mut runs = Vec::new();
-    for (_, policy) in &schemes {
-        runs.push(match policy {
-            None => ctx.run(mix.instances(), RoundRobin, SharedBy(4))?,
-            Some(churn) => {
-                let machine = MachineConfig::paper_default().with_churn(churn.clone());
-                let runner = ctx.runner().clone().on_machine(machine);
-                let cell = ExperimentCell::of_kinds(mix.instances(), RoundRobin, SharedBy(4));
-                let run = runner
-                    .run_cells(std::slice::from_ref(&cell))?
-                    .pop()
-                    .expect("one cell in, one run out");
-                std::sync::Arc::new(run)
-            }
-        });
-    }
-    let cols: Vec<&str> = schemes.iter().map(|(l, _)| *l).collect();
+    let runs = run_machine_variants(ctx, &mix, &variants)?;
+    let cols: Vec<&str> = variants.iter().map(|(l, _)| *l).collect();
     let mut t = TextTable::new(
         format!(
             "Fig 16: VM lifecycle churn ({}, rr, shared-4-way)",
@@ -672,30 +627,16 @@ pub fn fig16_lifecycle_churn(ctx: &FigureContext) -> Result<TextTable, SimError>
         ),
         &cols,
     );
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let base = runs[0].vms[vm].runtime_cycles.mean.max(1e-9);
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| r.vms[vm].runtime_cycles.mean / base)
-            .collect();
-        t.row(format!("runtime vm{vm} {}", kind.name()), &row);
-    }
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let base = runs[0].vms[vm].miss_latency.mean.max(1e-9);
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| r.vms[vm].miss_latency.mean / base)
-            .collect();
-        t.row(format!("misslat vm{vm} {}", kind.name()), &row);
-    }
-    for (vm, kind) in mix.instances().iter().enumerate() {
-        let row: Vec<f64> = runs
-            .iter()
-            .map(|r| r.vms[vm].miss_latency_max.mean)
-            .collect();
-        t.row(format!("tail vm{vm} {}", kind.name()), &row);
-    }
-    type ActivityStat = fn(&consim_job::runner::MixRun) -> f64;
+    vm_rows(&mut t, "runtime", &mix, &runs, |r, vm| {
+        r.vms[vm].runtime_cycles.mean / runs[0].vms[vm].runtime_cycles.mean.max(1e-9)
+    });
+    vm_rows(&mut t, "misslat", &mix, &runs, |r, vm| {
+        r.vms[vm].miss_latency.mean / runs[0].vms[vm].miss_latency.mean.max(1e-9)
+    });
+    vm_rows(&mut t, "tail", &mix, &runs, |r, vm| {
+        r.vms[vm].miss_latency_max.mean
+    });
+    type ActivityStat = fn(&MixRun) -> f64;
     let activity: [(&str, ActivityStat); 4] = [
         ("spawns", |r| r.churn.spawns.mean),
         ("retires", |r| r.churn.retires.mean),

@@ -41,7 +41,7 @@ const PRUNE_HORIZON: u64 = 100_000;
 /// Reservations are gap-aware, so out-of-order callers (the engine's event
 /// interleaving) place early work into gaps before far-future reservations.
 ///
-/// Two properties keep every operation cheap without changing any result:
+/// Three properties keep every operation cheap without changing any result:
 ///
 /// * Sorted non-overlapping intervals have strictly increasing *ends*, so
 ///   both the first interval that can constrain a probe and the insertion
@@ -81,7 +81,7 @@ impl ReservationCalendar {
 
     /// Finds the earliest start `>= ready` with `busy` free cycles, without
     /// reserving.
-    pub fn probe(&self, ready: u64, busy: u64) -> u64 {
+    fn probe(&self, ready: u64, busy: u64) -> u64 {
         let mut t = ready;
         for &(s, e) in self.intervals.range(self.first_constraining(ready)..) {
             if t + busy <= s {
@@ -228,26 +228,6 @@ impl ContentionModel {
         arrival
     }
 
-    /// Latency a packet *would* see if sent at `depart`, without reserving
-    /// anything (for what-if probes).
-    pub fn probe_latency(&self, packet: &Packet, depart: Cycle) -> u64 {
-        let flits = packet.flits() as u64;
-        if packet.src == packet.dst {
-            return self.router_pipeline;
-        }
-        let mut head = depart;
-        let mut at = packet.src;
-        while at != packet.dst {
-            let dir = self.mesh.route_xy(at, packet.dst);
-            let link = self.mesh.link_index(at, dir);
-            let ready = (head + self.router_pipeline).raw();
-            let start = self.links[link].probe(ready, flits * self.link_latency);
-            head = Cycle::new(start + self.link_latency);
-            at = self.mesh.neighbor(at, dir).expect("XY route stays in mesh");
-        }
-        (head + (flits - 1) * self.link_latency) - depart
-    }
-
     /// The minimum (uncontended) latency between two nodes for a packet of
     /// `flits` flits.
     pub fn base_latency(
@@ -310,9 +290,19 @@ impl Snapshot for ReservationCalendar {
     fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
         let count = r.get_usize()?;
         self.intervals.clear();
+        let mut prev_end = 0;
         for _ in 0..count {
             let start = r.get_u64()?;
             let end = r.get_u64()?;
+            // `probe` and `reserve` binary-search on sorted, disjoint
+            // intervals; a record that breaks that would hand out busy time.
+            if end < start || start < prev_end {
+                return Err(SimError::snapshot(
+                    consim_types::SnapshotErrorKind::Corrupt,
+                    format!("calendar interval [{start}, {end}) after end {prev_end}"),
+                ));
+            }
+            prev_end = end;
             self.intervals.push_back((start, end));
         }
         Ok(())
@@ -434,20 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_reserve() {
-        let noc0 = model();
-        let mut noc = noc0.clone();
-        let p = Packet::data(NodeId::new(0), NodeId::new(3));
-        let probe = noc.probe_latency(&p, Cycle::ZERO);
-        let sent = noc.send(&p, Cycle::ZERO).raw();
-        assert_eq!(probe, sent);
-        // Probing again now shows the contention the send created...
-        assert!(noc.probe_latency(&p, Cycle::ZERO) > probe);
-        // ...but a fresh model still shows the base value.
-        assert_eq!(noc0.probe_latency(&p, Cycle::ZERO), probe);
-    }
-
-    #[test]
     fn reservations_expire_in_time() {
         let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
@@ -525,6 +501,31 @@ mod tests {
                 "send {i}"
             );
         }
+    }
+
+    #[test]
+    fn calendar_restore_rejects_unsorted_intervals() {
+        let restore = |intervals: &[(u64, u64)]| {
+            let mut buf = SectionBuf::new();
+            buf.put_usize(intervals.len());
+            for &(start, end) in intervals {
+                buf.put_u64(start);
+                buf.put_u64(end);
+            }
+            let mut cal = ReservationCalendar::default();
+            cal.restore(&mut SectionReader::new("cal", buf.as_bytes()))
+                .map(|()| cal)
+        };
+        for bad in [&[(100, 200), (0, 50)][..], &[(0, 50), (40, 60)], &[(10, 5)]] {
+            let err = restore(bad).unwrap_err();
+            assert_eq!(
+                err.snapshot_kind(),
+                Some(consim_types::SnapshotErrorKind::Corrupt),
+                "{bad:?}: {err}"
+            );
+        }
+        let mut cal = restore(&[(0, 50), (50, 60), (100, 200)]).unwrap();
+        assert_eq!(cal.reserve(10, 5, 0), 60);
     }
 
     #[test]

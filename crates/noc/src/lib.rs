@@ -1,25 +1,21 @@
-//! 2-D packet-switched mesh interconnect models for the `consim` CMP
+//! 2-D packet-switched mesh interconnect model for the `consim` CMP
 //! simulator.
 //!
 //! The paper's machine (Table III) connects its 16 cores with a 2-D
 //! packet-switched mesh using virtual-channel flow control, dimension-order
 //! routing, and a 3-stage router pipeline with speculative virtual-channel
-//! and switch allocation. This crate provides two models of that network:
+//! and switch allocation. [`contention::ContentionModel`] is a packet-level
+//! model of that network: it walks a packet's XY path reserving link time,
+//! so congestion (the paper's "interconnect latency is 20% lower for round
+//! robin than affinity" effect) still emerges without simulating every
+//! flit — full flit-level simulation of multi-million-reference runs would
+//! be prohibitive (the same trade-off the paper discusses in its simulation
+//! methodology section). Its link calendars ([`ReservationCalendar`]) also
+//! model the engine's memory-controller bandwidth; `tests/calendar_reference.rs`
+//! checks both, cycle for cycle, against a naive linear-scan calendar.
 //!
-//! * [`flit::Network`] — a flit-level, cycle-driven model with per-VC input
-//!   buffers, credit-based flow control, and a 3-stage (RC / speculative
-//!   VA+SA / ST) router pipeline. Used standalone for validation tests and
-//!   the NoC micro-benchmarks.
-//! * [`contention::ContentionModel`] — a fast packet-level model that walks a
-//!   packet's XY path reserving link time, so congestion (the paper's
-//!   "interconnect latency is 20% lower for round robin than affinity"
-//!   effect) still emerges. This is what the full-system engine uses, since
-//!   full flit-level simulation of multi-million-reference runs would be
-//!   prohibitive (the same trade-off the paper discusses in its simulation
-//!   methodology section).
-//!
-//! Both models share [`topology::Mesh`] (coordinates, XY routes) and
-//! [`packet::Packet`].
+//! [`topology::Mesh`] provides coordinates and XY routes, and
+//! [`packet::Packet`] the two message sizes.
 //!
 //! # Examples
 //!
@@ -38,13 +34,11 @@
 //! ```
 
 pub mod contention;
-pub mod flit;
 pub mod packet;
 pub mod stats;
 pub mod topology;
 
 pub use contention::{ContentionModel, ReservationCalendar};
-pub use flit::{Network, NocConfig};
 pub use packet::{Packet, PacketClass};
 pub use stats::NocStats;
 pub use topology::{Coord, Direction, Mesh};

@@ -6,8 +6,8 @@ use consim_types::cycles::LatencyAccumulator;
 use consim_types::SimError;
 use std::fmt;
 
-/// Counters shared by both network models.
-#[derive(Debug, Clone, Default)]
+/// Network counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NocStats {
     /// Packets injected (accepted for transport). The counter audit checks
     /// `injected == packets` at end of run: a gap means the model lost a

@@ -19,15 +19,6 @@ pub enum Direction {
 }
 
 impl Direction {
-    /// All five port directions, `Local` last.
-    pub const ALL: [Direction; 5] = [
-        Direction::East,
-        Direction::West,
-        Direction::North,
-        Direction::South,
-        Direction::Local,
-    ];
-
     /// A stable index in `0..5` for array-indexed port state.
     pub const fn port_index(self) -> usize {
         match self {
@@ -36,18 +27,6 @@ impl Direction {
             Direction::North => 2,
             Direction::South => 3,
             Direction::Local => 4,
-        }
-    }
-
-    /// The direction a flit arriving over this link enters the next router
-    /// from (e.g. traveling East, it arrives at the West input).
-    pub const fn opposite(self) -> Direction {
-        match self {
-            Direction::East => Direction::West,
-            Direction::West => Direction::East,
-            Direction::North => Direction::South,
-            Direction::South => Direction::North,
-            Direction::Local => Direction::Local,
         }
     }
 }
@@ -321,15 +300,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&i| i < m.num_link_slots()));
-    }
-
-    #[test]
-    fn direction_opposites() {
-        for d in Direction::ALL {
-            assert_eq!(d.opposite().opposite(), d);
-        }
-        assert_eq!(Direction::East.opposite(), Direction::West);
-        assert_eq!(Direction::North.opposite(), Direction::South);
     }
 
     #[test]
