@@ -19,8 +19,8 @@ use consim::mix::Mix;
 use consim_bench::cli::BenchFlags;
 use consim_job::runner::RunOptions;
 use consim_job::{
-    CollectingSink, JobJournal, JobOutput, JobQueue, JobSource, LiveQueue, PoolConfig,
-    PrewarmCache, ResultSink, WorkerPool,
+    CollectingSink, JobJournal, JobOutput, JobQueue, JobSource, LiveQueue, PoolConfig, ResultSink,
+    WorkerPool,
 };
 use consim_sched::SchedulingPolicy::RoundRobin;
 use consim_types::config::{LlcPartitioning, MachineConfig, SharingDegree};
@@ -77,7 +77,6 @@ fn drain(
         Arc::clone(&queue) as Arc<dyn JobQueue>,
         Arc::clone(&sink) as Arc<dyn ResultSink>,
         Some(journal.clone()),
-        PrewarmCache::default(),
         None,
     );
     feed(&queue, &pool);

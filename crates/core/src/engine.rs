@@ -1789,37 +1789,6 @@ impl Simulation {
         self.config.trace = Some(trace);
     }
 
-    /// Replaces the run parameters of a not-yet-started simulation with
-    /// those of `config`, which must agree with the current configuration on
-    /// every field that shaped construction and prewarming (machine, policy,
-    /// workloads, seed, LLC replacement). Used by the job layer's prewarm
-    /// cache (`consim-job`) to specialize one canonical prewarmed
-    /// checkpoint to each cell.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`SimError::Invariant`] when the simulation has already
-    /// started running.
-    pub fn adopt_config(&mut self, config: SimulationConfig) -> Result<(), SimError> {
-        if self.run_state.is_some() {
-            return Err(SimError::invariant(
-                "cannot adopt a new configuration mid-run",
-            ));
-        }
-        debug_assert_eq!(
-            snapshot::prewarm_key(&self.config),
-            snapshot::prewarm_key(&config),
-            "adopted configuration describes a different prewarmed machine"
-        );
-        let trace = config.trace.clone();
-        self.config = config;
-        self.config.trace = None;
-        if let Some(trace) = trace {
-            self.set_trace(trace);
-        }
-        Ok(())
-    }
-
     /// Writes a complete, versioned, checksummed snapshot of the simulation
     /// — configuration and all mutable state — to `writer`. Resuming it with
     /// [`Simulation::resume`] and running to completion produces results

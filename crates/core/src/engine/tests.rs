@@ -738,27 +738,6 @@ mod snap {
         );
     }
 
-    #[test]
-    fn adopt_config_specializes_a_canonical_prewarm_checkpoint() {
-        // The runner's prewarm-reuse path: checkpoint the canonical
-        // prewarmed machine once, then resume + adopt per-cell run
-        // parameters. Must equal building the cell directly.
-        let mut cell = config(8, SchedulingPolicy::Affinity, None);
-        cell.prewarm_llc = true;
-        let direct = Simulation::new(cell.clone()).unwrap().run().unwrap();
-
-        let canonical = crate::snapshot::prewarm_canonical_config(&cell);
-        let mut warmed = Simulation::new(canonical).unwrap();
-        warmed.prewarm();
-        let mut bytes = Vec::new();
-        warmed.checkpoint(&mut bytes).unwrap();
-
-        let mut adopted = Simulation::resume(&mut bytes.as_slice()).unwrap();
-        adopted.adopt_config(cell).unwrap();
-        let via_cache = adopted.run().unwrap();
-        assert_eq!(fingerprint(&via_cache), fingerprint(&direct));
-    }
-
     /// A dynamic-QoS variant of [`config`]: a short repartition epoch, no
     /// dead-band, and an asymmetric VM mix so controller decisions land —
     /// and actually move ways — inside the measured window.

@@ -50,17 +50,11 @@ pub fn config_digest(config: &SimulationConfig) -> u64 {
     fnv1a(buf.as_bytes())
 }
 
-/// The prewarm-cache key of `config`: a digest over everything that
-/// shapes the prewarmed machine state, ignoring run quotas (see
-/// `consim-job`'s prewarm-checkpoint cache).
+/// The prewarm key of `config`: a digest over everything that shapes the
+/// prewarmed machine state, ignoring run quotas. Two configurations with
+/// one key have identical LLC banks after [`Simulation::prewarm`].
 pub fn prewarm_key(config: &SimulationConfig) -> u64 {
     snapshot::prewarm_key(config)
-}
-
-/// The canonical configuration whose prewarmed checkpoint serves every
-/// job sharing a [`prewarm_key`]: run quotas zeroed, trace detached.
-pub fn prewarm_canonical_config(config: &SimulationConfig) -> SimulationConfig {
-    snapshot::prewarm_canonical_config(config)
 }
 
 /// Process-unique temporary-name counter: concurrent writers staging

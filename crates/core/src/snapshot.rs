@@ -360,20 +360,12 @@ fn restore_profile(r: &mut SectionReader<'_>) -> Result<WorkloadProfile, SimErro
     Ok(profile)
 }
 
-/// Cache key for prewarm-checkpoint reuse: a digest over every configuration
-/// field that influences the *prewarmed* (pre-warmup) machine state. Run
-/// parameters that only matter once a phase executes — quotas, footprint
-/// tracking, auditing, rescheduling, tracing — are normalized out, so cells
-/// that differ only in those can share one prewarm checkpoint.
+/// A digest over every configuration field that influences the
+/// *prewarmed* (pre-warmup) machine state. Run parameters that only matter
+/// once a phase executes — quotas, footprint tracking, auditing,
+/// rescheduling, tracing — are normalized out, so cells that differ only
+/// in those share one key.
 pub(crate) fn prewarm_key(config: &SimulationConfig) -> u64 {
-    let mut buf = SectionBuf::new();
-    save_config(&prewarm_canonical_config(config), &mut buf);
-    fnv1a(buf.as_bytes())
-}
-
-/// The canonical configuration whose checkpoint is stored under
-/// [`prewarm_key`]; see `consim-job`'s prewarm cache.
-pub(crate) fn prewarm_canonical_config(config: &SimulationConfig) -> SimulationConfig {
     let mut canonical = config.clone();
     canonical.refs_per_vm = 1;
     canonical.warmup_refs_per_vm = 0;
@@ -381,7 +373,9 @@ pub(crate) fn prewarm_canonical_config(config: &SimulationConfig) -> SimulationC
     canonical.reschedule_every = None;
     canonical.audit = false;
     canonical.trace = None;
-    canonical
+    let mut buf = SectionBuf::new();
+    save_config(&canonical, &mut buf);
+    fnv1a(buf.as_bytes())
 }
 
 #[cfg(test)]

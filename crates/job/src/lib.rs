@@ -44,7 +44,7 @@ pub mod sink;
 pub mod spec;
 
 pub use journal::JobJournal;
-pub use pool::{PoolConfig, PoolReport, PrewarmCache, WorkerPool};
+pub use pool::{PoolConfig, PoolReport, WorkerPool};
 pub use queue::{JobQueue, LiveQueue, QueuePoll, StaticQueue};
 pub use runner::{
     ChurnAggregate, ExperimentCell, ExperimentRunner, MixRun, RunOptions, VmAggregate,

@@ -11,9 +11,10 @@
 //!   ([`WorkerPool::cancel`]) simply stops advancing and reports
 //!   [`JobOutput::Cancelled`]; dominated candidates in a search loop die
 //!   cheaply without corrupting anyone else's aggregation;
-//! * **Crash durability** — between slices the worker checkpoints the
-//!   resident simulation into the [`JobJournal`], so a crash loses at
-//!   most one slice of work per in-flight job.
+//! * **Crash durability** — every `checkpoint_every` accesses, rounded up
+//!   to a whole slice, the worker checkpoints the resident simulation into
+//!   the [`JobJournal`], so a crash loses at most that much work per
+//!   in-flight job.
 //!
 //! None of this can change results: each job's outcome is a pure function
 //! of its configuration, and slicing a simulation is bit-transparent (the
@@ -24,21 +25,14 @@ use crate::journal::JobJournal;
 use crate::queue::{JobQueue, QueuePoll};
 use crate::sink::{JobOutput, JobSource, ResultSink};
 use crate::spec::JobSpec;
-use consim::engine::{RunStatus, Simulation, SimulationConfig, SimulationOutcome};
-use consim::persist;
+use consim::engine::{RunStatus, Simulation, SimulationOutcome};
 use consim_trace::{TraceEvent, TraceSink};
-use consim_types::{FastHashMap, SimError};
+use consim_types::SimError;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Prewarm-checkpoint cache: canonical-config digest → serialized
-/// checkpoint of a prewarmed-but-not-started simulation. Shared across
-/// pools (and across [`crate::runner::ExperimentRunner`] clones) so
-/// sweeps that retarget one configured runner still reuse it.
-pub type PrewarmCache = Arc<Mutex<FastHashMap<u64, Arc<Vec<u8>>>>>;
 
 /// Execution policy for one pool.
 #[derive(Debug, Clone)]
@@ -52,9 +46,10 @@ pub struct PoolConfig {
     /// (`1` = run each job to completion before starting the next, the
     /// batch-runner discipline).
     pub max_live: usize,
-    /// Checkpoint each in-flight job into the journal after every slice,
-    /// slicing at this interval if `time_slice` is coarser. Effective
-    /// only with a journal attached.
+    /// Checkpoint each in-flight job into the journal at the first slice
+    /// boundary once this many accesses have run since its last
+    /// checkpoint, slicing at this interval if `time_slice` is coarser.
+    /// Effective only with a journal attached.
     pub checkpoint_every: Option<u64>,
     /// Fault injection for crash-recovery tests: once this many jobs have
     /// been *simulated* to completion (journal loads do not count), the
@@ -99,7 +94,6 @@ struct Shared {
     queue: Arc<dyn JobQueue>,
     sink: Arc<dyn ResultSink>,
     journal: Option<JobJournal>,
-    prewarm: PrewarmCache,
     config: PoolConfig,
     /// Runner-class telemetry sink (per-job wall time); `None` when the
     /// attached trace sink filters the class out.
@@ -113,15 +107,44 @@ struct Shared {
 impl WorkerPool {
     /// Spawns `config.workers` workers over `queue`, reporting into
     /// `sink`. With a `journal`, completed outcomes are recorded (and
-    /// previously recorded ones served without re-simulating); `prewarm`
-    /// is the shared prewarm-checkpoint cache; `timing` receives
-    /// `CellCompleted` events for simulated jobs.
+    /// previously recorded ones served without re-simulating); `timing`
+    /// receives `CellCompleted` events for simulated jobs.
+    ///
+    /// ```
+    /// # use consim::engine::SimulationConfig;
+    /// # use consim_workload::WorkloadProfileBuilder;
+    /// use consim_job::{CollectingSink, JobQueue, LiveQueue, PoolConfig,
+    ///                  ResultSink, WorkerPool};
+    /// use std::sync::Arc;
+    /// # let mut builder = SimulationConfig::builder();
+    /// # builder
+    /// #     .workload(WorkloadProfileBuilder::new("tiny").footprint_blocks(500).build()?)
+    /// #     .refs_per_vm(500)
+    /// #     .warmup_refs_per_vm(100);
+    /// # let config = builder.build()?;
+    ///
+    /// let queue = Arc::new(LiveQueue::new());          // feed while running
+    /// let sink = Arc::new(CollectingSink::new());      // or your own ResultSink
+    /// let pool = WorkerPool::start(
+    ///     PoolConfig { workers: 4, time_slice: Some(100_000), max_live: 2,
+    ///                  ..PoolConfig::default() },
+    ///     Arc::clone(&queue) as Arc<dyn JobQueue>,
+    ///     Arc::clone(&sink) as Arc<dyn ResultSink>,
+    ///     None,                                        // or Some(JobJournal)
+    ///     None,                                        // or a trace sink
+    /// );
+    /// let job = queue.push(0, config).expect("queue open");  // any producer
+    /// // pool.cancel(job)  — early termination at the next slice boundary
+    /// queue.close();
+    /// let report = pool.join();
+    /// # assert_eq!((report.simulated, sink.len()), (1, 1));
+    /// # Ok::<(), consim_types::SimError>(())
+    /// ```
     pub fn start(
         config: PoolConfig,
         queue: Arc<dyn JobQueue>,
         sink: Arc<dyn ResultSink>,
         journal: Option<JobJournal>,
-        prewarm: PrewarmCache,
         timing: Option<Arc<dyn TraceSink>>,
     ) -> Self {
         let workers = config.workers.max(1);
@@ -129,7 +152,6 @@ impl WorkerPool {
             queue,
             sink,
             journal,
-            prewarm,
             config,
             timing,
             cancelled: Mutex::new(HashSet::new()),
@@ -205,6 +227,8 @@ struct Active {
     job: JobSpec,
     sim: Simulation,
     busy: Duration,
+    /// Accesses run since the job's last journal checkpoint.
+    unsaved: u64,
 }
 
 /// The slice length workers advance by: the finer of the preemption and
@@ -273,20 +297,34 @@ fn worker_loop(shared: &Shared) {
                 .job_finished(&active.job, Ok(JobOutput::Cancelled));
             continue;
         }
-        let Active { job, mut sim, busy } = active;
+        let Active {
+            job,
+            mut sim,
+            busy,
+            unsaved,
+        } = active;
         let start = Instant::now();
         match sim.advance(slice, None) {
             Ok(RunStatus::Running) => {
                 let busy = busy + start.elapsed();
-                if shared.config.checkpoint_every.is_some() {
-                    if let Some(journal) = &shared.journal {
+                let mut unsaved = unsaved + slice;
+                if let (Some(every), Some(journal)) =
+                    (shared.config.checkpoint_every, &shared.journal)
+                {
+                    if unsaved >= every {
                         if let Err(e) = journal.store_checkpoint(&job, &sim) {
                             finish_simulated(shared, &job, Err(e), busy);
                             continue;
                         }
+                        unsaved = 0;
                     }
                 }
-                live.push_back(Active { job, sim, busy });
+                live.push_back(Active {
+                    job,
+                    sim,
+                    busy,
+                    unsaved,
+                });
             }
             Ok(RunStatus::Complete) => {
                 let result = sim.finish();
@@ -352,6 +390,7 @@ fn admit(shared: &Shared, job: JobSpec) -> Option<Active> {
                     job,
                     sim,
                     busy: Duration::ZERO,
+                    unsaved: 0,
                 });
             }
             Ok(None) => {}
@@ -361,12 +400,14 @@ fn admit(shared: &Shared, job: JobSpec) -> Option<Active> {
             }
         }
     }
+    // A prewarmed job fills its LLC banks inside its first slice.
     let start = Instant::now();
-    match build_sim(shared, job.config()) {
+    match Simulation::new(job.config().clone()) {
         Ok(sim) => Some(Active {
             job,
             sim,
             busy: start.elapsed(),
+            unsaved: 0,
         }),
         Err(e) => {
             finish_simulated(shared, &job, Err(e), start.elapsed());
@@ -410,45 +451,13 @@ fn finish_simulated(
     );
 }
 
-/// Builds the simulation for a job. Jobs that prewarm the LLC go through
-/// the prewarm-checkpoint cache: the (expensive) bank fill for a given
-/// canonical configuration is simulated once, checkpointed to memory,
-/// and every later job resumes that checkpoint and adopts its own run
-/// quotas — bit-identical to prewarming from scratch (the fill is
-/// deterministic in the canonical configuration).
-fn build_sim(shared: &Shared, cfg: &SimulationConfig) -> Result<Simulation, SimError> {
-    if !cfg.prewarm_llc {
-        return Simulation::new(cfg.clone());
-    }
-    let key = persist::prewarm_key(cfg);
-    let bytes = {
-        let mut cache = shared.prewarm.lock().expect("prewarm cache poisoned");
-        match cache.get(&key) {
-            Some(bytes) => Arc::clone(bytes),
-            None => {
-                // Built under the lock: the first job pays once and
-                // concurrent workers with the same key wait for it
-                // rather than all paying.
-                let mut sim = Simulation::new(persist::prewarm_canonical_config(cfg))?;
-                sim.prewarm();
-                let mut buf = Vec::new();
-                sim.checkpoint(&mut buf)?;
-                let bytes = Arc::new(buf);
-                cache.insert(key, Arc::clone(&bytes));
-                bytes
-            }
-        }
-    };
-    let mut sim = Simulation::resume(bytes.as_slice())?;
-    sim.adopt_config(cfg.clone())?;
-    Ok(sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::queue::LiveQueue;
     use crate::sink::CollectingSink;
+    use consim::engine::SimulationConfig;
+    use consim::persist;
     use std::path::PathBuf;
 
     /// Temp journal dir removed on drop (even on assertion failure).
@@ -480,10 +489,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn prewarm_cache() -> PrewarmCache {
-        Arc::new(Mutex::new(FastHashMap::default()))
-    }
-
     /// Satellite regression: `close()` while a worker holds in-flight
     /// slices is a *drain* — every queued job still finishes and
     /// journals; nothing is dropped.
@@ -504,7 +509,6 @@ mod tests {
             Arc::clone(&queue) as Arc<dyn JobQueue>,
             Arc::clone(&sink) as Arc<dyn ResultSink>,
             Some(journal.clone()),
-            prewarm_cache(),
             None,
         );
         for seed in 0..4 {
@@ -550,7 +554,6 @@ mod tests {
             Arc::clone(&queue) as Arc<dyn JobQueue>,
             Arc::clone(&sink) as Arc<dyn ResultSink>,
             Some(journal.clone()),
-            prewarm_cache(),
             None,
         );
         let report = pool.join();
@@ -581,7 +584,6 @@ mod tests {
             Arc::clone(&queue) as Arc<dyn JobQueue>,
             Arc::clone(&sink) as Arc<dyn ResultSink>,
             Some(journal.clone()),
-            prewarm_cache(),
             None,
         );
         let report = pool.join();
@@ -591,5 +593,119 @@ mod tests {
             .take()
             .into_values()
             .all(|r| matches!(r, Ok(JobOutput::Completed { .. }))));
+    }
+
+    fn short_config(seed: u64, refs: u64, warmup: u64, prewarm: bool) -> SimulationConfig {
+        let mut cfg = config(seed);
+        cfg.refs_per_vm = refs;
+        cfg.warmup_refs_per_vm = warmup;
+        cfg.prewarm_llc = prewarm;
+        cfg
+    }
+
+    /// Records, as each short job finishes, whether the long job 0 has a
+    /// mid-run checkpoint on disk.
+    #[derive(Debug)]
+    struct CheckpointProbe {
+        path: PathBuf,
+        seen: Mutex<Vec<bool>>,
+    }
+
+    impl ResultSink for CheckpointProbe {
+        fn job_finished(&self, job: &JobSpec, _: Result<JobOutput, SimError>) {
+            if job.index() > 0 {
+                self.seen.lock().unwrap().push(self.path.exists());
+            }
+        }
+    }
+
+    /// Regression: slices finer than `checkpoint_every` used to write a
+    /// checkpoint after every slice. Each 60-access job finishes in one
+    /// slice while job 0 has run 100 accesses more, so job `k` sees job 0
+    /// at `100 k` accesses: no checkpoint before 1,000, one from then on.
+    #[test]
+    fn finer_slices_do_not_checkpoint_before_the_interval() {
+        let scratch = ScratchDir::new("interval");
+        let journal = JobJournal::open(&scratch.0).unwrap();
+        let long = short_config(0, 1_500, 0, false);
+        let queue = Arc::new(LiveQueue::new());
+        queue.push(0, long.clone()).unwrap();
+        for seed in 1..=12 {
+            queue.push(0, short_config(seed, 60, 0, false)).unwrap();
+        }
+        queue.close();
+        let probe = Arc::new(CheckpointProbe {
+            path: journal.checkpoint_path(&JobSpec::new(0, 0, long)),
+            seen: Mutex::new(Vec::new()),
+        });
+        let pool = WorkerPool::start(
+            PoolConfig {
+                workers: 1,
+                time_slice: Some(100),
+                max_live: 2,
+                checkpoint_every: Some(1_000),
+                fault_after: None,
+            },
+            queue as Arc<dyn JobQueue>,
+            Arc::clone(&probe) as Arc<dyn ResultSink>,
+            Some(journal),
+            None,
+        );
+        assert_eq!(pool.join().simulated, 13);
+        let mut expected = vec![false; 9];
+        expected.extend([true; 3]);
+        assert_eq!(*probe.seen.lock().unwrap(), expected);
+        assert!(!probe.path.exists(), "completion discards the checkpoint");
+    }
+
+    /// A prewarmed job fills its LLC banks once, inside its first slice:
+    /// a job stopped mid-warmup and resumed from the journal, sliced next
+    /// to a fresh prewarmed job, matches an unsliced run byte for byte.
+    #[test]
+    fn prewarmed_jobs_resume_from_the_journal_bit_identically() {
+        let scratch = ScratchDir::new("prewarm");
+        let journal = JobJournal::open(&scratch.0).unwrap();
+        let configs = [
+            short_config(1, 600, 400, true),
+            short_config(2, 600, 400, true),
+        ];
+        let mut sim = Simulation::new(configs[0].clone()).unwrap();
+        assert_eq!(sim.advance(250, None).unwrap(), RunStatus::Running);
+        journal
+            .store_checkpoint(&JobSpec::new(0, 0, configs[0].clone()), &sim)
+            .unwrap();
+        let queue = Arc::new(LiveQueue::new());
+        for cfg in &configs {
+            queue.push(0, cfg.clone()).unwrap();
+        }
+        queue.close();
+        let sink = Arc::new(CollectingSink::new());
+        let pool = WorkerPool::start(
+            PoolConfig {
+                workers: 1,
+                time_slice: Some(250),
+                max_live: 2,
+                ..PoolConfig::default()
+            },
+            queue as Arc<dyn JobQueue>,
+            Arc::clone(&sink) as Arc<dyn ResultSink>,
+            Some(journal),
+            None,
+        );
+        assert_eq!(pool.join().simulated, 2);
+        for (index, result) in sink.take() {
+            let Ok(JobOutput::Completed { outcome, .. }) = result else {
+                panic!("job {index} must complete: {result:?}");
+            };
+            let direct = Simulation::new(configs[index].clone())
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(
+                persist::outcome_to_bytes(&outcome).unwrap(),
+                persist::outcome_to_bytes(&direct).unwrap(),
+                "job {index}"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@
 //! [`ExperimentRunner::with_threads`].
 
 use crate::journal::JobJournal;
-use crate::pool::{PoolConfig, PrewarmCache, WorkerPool};
+use crate::pool::{PoolConfig, WorkerPool};
 use crate::queue::StaticQueue;
 use crate::sink::{CollectingSink, JobOutput, ResultSink};
 use crate::spec::JobSpec;
@@ -306,9 +306,6 @@ pub struct ExperimentRunner {
     journal: Option<PathBuf>,
     checkpoint_every: Option<u64>,
     fault_after: Option<u64>,
-    /// Prewarm-checkpoint cache, shared across clones so sweeps that
-    /// retarget one configured runner still reuse it.
-    pub(crate) prewarm_cache: PrewarmCache,
 }
 
 impl ExperimentRunner {
@@ -323,7 +320,6 @@ impl ExperimentRunner {
             journal: None,
             checkpoint_every: None,
             fault_after: None,
-            prewarm_cache: PrewarmCache::default(),
         }
     }
 
@@ -512,7 +508,6 @@ impl ExperimentRunner {
             Arc::new(StaticQueue::new(specs)),
             Arc::clone(&sink) as Arc<dyn ResultSink>,
             journal,
-            Arc::clone(&self.prewarm_cache),
             timing.clone(),
         );
         let report = pool.join();
@@ -994,7 +989,6 @@ mod tests {
             Arc::new(StaticQueue::new(specs)),
             Arc::clone(&sink) as Arc<dyn ResultSink>,
             None,
-            PrewarmCache::default(),
             None,
         );
         let report = pool.join();
@@ -1042,7 +1036,6 @@ mod tests {
             Arc::clone(&queue) as Arc<dyn crate::queue::JobQueue>,
             Arc::clone(&sink) as Arc<dyn ResultSink>,
             None,
-            PrewarmCache::default(),
             None,
         );
         // Victim first (cancelled before it can complete — its quota is
@@ -1371,7 +1364,7 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_checkpoint_cache_is_bit_identical_to_direct_prewarm() {
+    fn prewarmed_cells_are_bit_identical_to_direct_runs() {
         let options = RunOptions {
             refs_per_vm: 1_500,
             warmup_refs_per_vm: 300,
@@ -1383,42 +1376,24 @@ mod tests {
             cell("p", SchedulingPolicy::Affinity),
             cell("q", SchedulingPolicy::Affinity),
         ];
-        let cached = ExperimentRunner::new(options.clone())
-            .with_threads(1)
-            .run_cells(&cells)
-            .unwrap();
-        // Reference: prewarm from scratch per job by bypassing the cache
-        // (build each simulation directly).
-        let reference: Vec<MixRun> = {
-            let runner = ExperimentRunner::new(options.clone()).with_threads(1);
-            cells
+        let runner = ExperimentRunner::new(options).with_threads(1);
+        let pooled = runner.run_cells(&cells).unwrap();
+        for (c, run) in cells.iter().zip(&pooled) {
+            let outcomes: Vec<_> = runner
+                .options
+                .seeds
                 .iter()
-                .map(|c| {
-                    let outcomes: Vec<_> = runner
-                        .options
-                        .seeds
-                        .iter()
-                        .map(|&s| {
-                            let cfg = runner.cell_config(c, s).unwrap();
-                            Simulation::new(cfg).unwrap().run().unwrap()
-                        })
-                        .collect();
-                    runner.aggregate(&c.profiles, &outcomes)
+                .map(|&s| {
+                    let cfg = runner.cell_config(c, s).unwrap();
+                    Simulation::new(cfg).unwrap().run().unwrap()
                 })
-                .collect()
-        };
-        for (c, r) in cached.iter().zip(&reference) {
+                .collect();
             assert_eq!(
-                fingerprint(c),
-                fingerprint(r),
-                "prewarm cache must not change results"
+                fingerprint(run),
+                fingerprint(&runner.aggregate(&c.profiles, &outcomes)),
+                "prewarming through the pool must not change results"
             );
         }
-        // The cache really is shared and keyed: both cells × both seeds hit
-        // distinct (profile, seed) canonical configs, so 4 entries.
-        let runner = ExperimentRunner::new(options).with_threads(1);
-        runner.run_cells(&cells).unwrap();
-        assert_eq!(runner.prewarm_cache.lock().unwrap().len(), 4);
     }
 
     #[test]

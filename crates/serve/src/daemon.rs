@@ -407,7 +407,6 @@ impl Daemon {
             Arc::clone(&queue) as Arc<dyn JobQueue>,
             sink as Arc<dyn ResultSink>,
             Some(journal),
-            Arc::new(Mutex::new(FastHashMap::default())),
             None,
         );
         *shared.pool.lock().expect("pool poisoned") = Some(pool);

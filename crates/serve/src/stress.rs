@@ -28,8 +28,7 @@ use crate::proto::{JobState, ServeError};
 use consim::engine::SimulationConfig;
 use consim::persist;
 use consim_job::{
-    CollectingSink, JobOutput, JobQueue, JobSpec, PoolConfig, PrewarmCache, ResultSink,
-    StaticQueue, WorkerPool,
+    CollectingSink, JobOutput, JobQueue, JobSpec, PoolConfig, ResultSink, StaticQueue, WorkerPool,
 };
 use consim_snap::fnv1a;
 use consim_types::{FastHashMap, SimRng};
@@ -442,7 +441,6 @@ fn reference_outcome(job: &PlannedJob) -> Result<Vec<u8>, ServeError> {
         Arc::clone(&queue) as Arc<dyn JobQueue>,
         Arc::clone(&sink) as Arc<dyn ResultSink>,
         None,
-        PrewarmCache::default(),
         None,
     );
     pool.join();

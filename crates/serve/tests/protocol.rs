@@ -3,6 +3,8 @@
 //! connection must yield a typed error (or a clean drop) on that
 //! connection only — the daemon itself keeps serving.
 
+use consim::engine::Simulation;
+use consim::persist;
 use consim_serve::daemon::{Daemon, DaemonConfig};
 use consim_serve::net::Endpoint;
 use consim_serve::proto::{read_frame, read_hello, write_frame, write_hello, Response, MAGIC};
@@ -57,6 +59,18 @@ fn test_config(seed: u64) -> consim::engine::SimulationConfig {
     let mut builder = consim::engine::SimulationConfig::builder();
     builder.workload(profile).refs_per_vm(400).seed(seed);
     builder.build().unwrap()
+}
+
+/// Polls `digest` until it completes and returns its outcome bytes.
+fn poll_completed(client: &mut Client, digest: u64) -> Vec<u8> {
+    loop {
+        let reply = client.status(digest).unwrap();
+        match reply.state {
+            JobState::Completed => return reply.outcome_bytes.unwrap(),
+            JobState::Pending => std::thread::sleep(Duration::from_millis(20)),
+            other => panic!("job should complete, got {other:?}"),
+        }
+    }
 }
 
 /// The daemon must keep answering a well-behaved client after each kind
@@ -181,15 +195,7 @@ fn graceful_session_covers_every_request() {
     let unknown = client.status(ack.digest ^ 1).unwrap();
     assert_eq!(unknown.state, JobState::Unknown);
 
-    // Poll to completion.
-    let outcome_bytes = loop {
-        let reply = client.status(ack.digest).unwrap();
-        match reply.state {
-            JobState::Completed => break reply.outcome_bytes.unwrap(),
-            JobState::Pending => std::thread::sleep(Duration::from_millis(20)),
-            other => panic!("job should complete, got {other:?}"),
-        }
-    };
+    let outcome_bytes = poll_completed(&mut client, ack.digest);
     assert!(!outcome_bytes.is_empty());
 
     // Subscribing to a finished job yields its terminal frame at once.
@@ -207,6 +213,39 @@ fn graceful_session_covers_every_request() {
     client.drain().unwrap();
     assert!(client.submit(1, &test_config(12)).is_err());
     client.ping().unwrap();
+    client.shutdown().unwrap();
+    daemon.wait();
+}
+
+/// Prewarmed submissions that differ only in `refs_per_vm` share one
+/// prewarm key; each fills its LLC banks in its own first slice and
+/// matches an in-process run byte for byte.
+#[test]
+fn daemon_serves_prewarmed_submissions() {
+    let (daemon, _scratch) = start_daemon("prewarm");
+    let mut client = Client::connect(daemon.endpoint()).unwrap();
+    let configs: Vec<_> = [400, 700]
+        .into_iter()
+        .map(|refs| {
+            let mut config = test_config(31);
+            config.refs_per_vm = refs;
+            config.prewarm_llc = true;
+            config
+        })
+        .collect();
+    assert_eq!(
+        persist::prewarm_key(&configs[0]),
+        persist::prewarm_key(&configs[1])
+    );
+    let acks: Vec<_> = configs
+        .iter()
+        .map(|config| client.submit(0, config).unwrap())
+        .collect();
+    for (config, ack) in configs.iter().zip(&acks) {
+        let served = poll_completed(&mut client, ack.digest);
+        let direct = Simulation::new(config.clone()).unwrap().run().unwrap();
+        assert_eq!(served, persist::outcome_to_bytes(&direct).unwrap());
+    }
     client.shutdown().unwrap();
     daemon.wait();
 }
