@@ -297,51 +297,94 @@ impl SetAssocCache {
     }
 }
 
+/// The tag byte a snapshot stores for each replacement policy.
+const fn policy_tag(policy: ReplacementPolicy) -> u8 {
+    match policy {
+        ReplacementPolicy::Lru => 0,
+        ReplacementPolicy::TreePlru => 1,
+        ReplacementPolicy::Random => 2,
+    }
+}
+
+fn corrupt(r: &SectionReader<'_>, msg: String) -> SimError {
+    SimError::snapshot(
+        SnapshotErrorKind::Corrupt,
+        format!("section '{}': {msg}", r.name()),
+    )
+}
+
 impl Snapshot for SetAssocCache {
-    /// One pass over the flat planes — no per-set allocation, unlike the
-    /// retired per-set format (snap format v2).
+    /// Writes the valid lines only, so a snapshot costs what the cache
+    /// holds rather than its capacity: the set count and policy tag, the
+    /// line count, one `(slot, tag, state)` record per valid slot in
+    /// strictly increasing slot order (`slot = set * ways + way`, a
+    /// `u32`), then the replacement state those lines need (see
+    /// `ReplacementPlanes::save`) and the statistics. An invalid slot's
+    /// tag is never read, because every lookup checks the state first.
     fn save(&self, w: &mut SectionBuf) {
         w.put_usize(self.num_sets);
-        w.put_u8(match self.repl.policy() {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::TreePlru => 1,
-            ReplacementPolicy::Random => 2,
-        });
-        w.put_u64_slice(&self.tags);
-        w.put_u8_slice(&self.states);
-        self.repl.save(w);
+        w.put_u8(policy_tag(self.repl.policy()));
+        w.put_usize(self.occupancy);
+        for (slot, &state) in self.states.iter().enumerate() {
+            if state != 0 {
+                w.put_u32(u32::try_from(slot).expect("a cache has fewer than 2^32 slots"));
+                w.put_u64(self.tags[slot]);
+                w.put_u8(state);
+            }
+        }
+        self.repl.save(w, &self.states);
         self.stats.save(w);
     }
 
+    /// Empties the state plane, then writes each record into its slot.
+    /// More records than slots, a slot out of range or out of order (a
+    /// duplicate way included), a tag that indexes another set, or a
+    /// state tag outside 1..=3 is [`SnapshotErrorKind::Corrupt`].
     fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
         r.expect_len(self.num_sets, "cache sets")?;
         let tag = r.get_u8()?;
-        let want = match self.repl.policy() {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::TreePlru => 1,
-            ReplacementPolicy::Random => 2,
-        };
-        if tag != want {
-            return Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
+        if tag != policy_tag(self.repl.policy()) {
+            return Err(corrupt(
+                r,
                 format!("replacement-policy tag {tag} does not match configured policy"),
             ));
         }
-        r.expect_len(self.tags.len(), "tag-plane entries")?;
-        for t in self.tags.iter_mut() {
-            *t = r.get_u64()?;
-        }
-        r.get_u8_slice_into(&mut self.states, "state-plane entries")?;
-        if let Some(&bad) = self.states.iter().find(|&&s| s > 3) {
-            return Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
-                format!("invalid line-state tag {bad}"),
+        let count = r.get_usize()?;
+        let capacity = self.states.len();
+        if count > capacity {
+            return Err(corrupt(
+                r,
+                format!("{count} valid lines in a cache of {capacity} slots"),
             ));
         }
-        self.repl.restore(r)?;
-        self.stats.restore(r)?;
-        self.occupancy = self.states.iter().filter(|&&s| s != 0).count();
-        Ok(())
+        self.states.fill(0);
+        let mut next = 0;
+        for _ in 0..count {
+            let slot = r.get_u32()? as usize;
+            if slot < next || slot >= capacity {
+                return Err(corrupt(
+                    r,
+                    format!("line slot {slot} is out of order or past capacity {capacity}"),
+                ));
+            }
+            let tag = r.get_u64()?;
+            if self.set_index(BlockAddr::new(tag)) != slot / self.ways {
+                return Err(corrupt(
+                    r,
+                    format!("block {tag} does not map to slot {slot}'s set"),
+                ));
+            }
+            let state = r.get_u8()?;
+            if !(1..=3).contains(&state) {
+                return Err(corrupt(r, format!("invalid line-state tag {state}")));
+            }
+            self.tags[slot] = tag;
+            self.states[slot] = state;
+            next = slot + 1;
+        }
+        self.occupancy = count;
+        self.repl.restore(r, &self.states)?;
+        self.stats.restore(r)
     }
 }
 
@@ -544,35 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_contents_recency_and_stats() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::TreePlru,
-            ReplacementPolicy::Random,
-        ] {
-            let geom = CacheGeometry::new(4 * 4 * 64, 4, 1).unwrap();
-            let mut c = SetAssocCache::new(geom, policy);
-            for n in 0..40 {
-                c.insert(BlockAddr::new(n * 3), LineState::Modified);
-                c.access(BlockAddr::new(n));
-            }
-            let mut buf = SectionBuf::new();
-            c.save(&mut buf);
-            let mut back = SetAssocCache::new(geom, policy);
-            back.restore(&mut SectionReader::new("caches", buf.as_bytes()))
-                .unwrap();
-            assert_eq!(back.stats(), c.stats(), "{policy:?}");
-            assert_eq!(back.occupancy(), c.occupancy(), "{policy:?}");
-            // Same contents and same future behaviour (recency + RNG state).
-            for n in 40..80 {
-                let va = c.insert(BlockAddr::new(n), LineState::Shared);
-                let vb = back.insert(BlockAddr::new(n), LineState::Shared);
-                assert_eq!(va, vb, "{policy:?} insert {n}");
-            }
-        }
-    }
-
-    #[test]
     fn snapshot_restore_rejects_wrong_shape() {
         let geom = CacheGeometry::new(4 * 4 * 64, 4, 1).unwrap();
         let c = SetAssocCache::new(geom, ReplacementPolicy::Lru);
@@ -590,6 +604,167 @@ mod tests {
             .restore(&mut SectionReader::new("caches", buf.as_bytes()))
             .unwrap_err();
         assert!(err.to_string().contains("policy"), "{err}");
+    }
+
+    fn saved(c: &SetAssocCache) -> Vec<u8> {
+        let mut buf = SectionBuf::new();
+        c.save(&mut buf);
+        buf.as_bytes().to_vec()
+    }
+
+    /// One step of a seeded stream over 8 sets of 4 ways and 48 blocks:
+    /// fills, hits, masked fills, single invalidations, and invalidations
+    /// of every block of one set, which empty it.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Fill(BlockAddr, LineState),
+        Hit(BlockAddr),
+        MaskedFill(BlockAddr, LineState, u64),
+        Invalidate(BlockAddr),
+        EmptySet(u64),
+    }
+
+    fn next_step(rng: &mut consim_types::SimRng) -> Step {
+        let block = BlockAddr::new(rng.below(48));
+        let state = [LineState::Shared, LineState::Exclusive, LineState::Modified][rng.index(3)];
+        match rng.index(20) {
+            0..=6 => Step::Fill(block, state),
+            7..=10 => Step::Hit(block),
+            11..=14 => Step::MaskedFill(block, state, 1 + rng.below(15)),
+            15..=17 => Step::Invalidate(block),
+            _ => Step::EmptySet(rng.below(8)),
+        }
+    }
+
+    /// Applies `step`; returns what it evicted, found or removed.
+    fn apply(c: &mut SetAssocCache, step: Step) -> Vec<CacheLine> {
+        match step {
+            Step::Fill(b, s) => c.insert(b, s).into_iter().collect(),
+            Step::Hit(b) => c
+                .access(b)
+                .map(|s| CacheLine::new(b, s))
+                .into_iter()
+                .collect(),
+            Step::MaskedFill(b, s, mask) => c.insert_in_ways(b, s, mask).into_iter().collect(),
+            Step::Invalidate(b) => c.invalidate(b).into_iter().collect(),
+            Step::EmptySet(set) => (0..6)
+                .filter_map(|k| c.invalidate(BlockAddr::new(set + 8 * k)))
+                .collect(),
+        }
+    }
+
+    /// The checkpoint seam for every policy: a cache restored at cut A
+    /// saves A's bytes again, and replaying the rest of the stream on it
+    /// and on the uninterrupted cache gives equal results and equal saved
+    /// bytes at every later cut B. A set that is empty at A still has
+    /// PLRU bits and an RNG position; the first later fills rewrite only
+    /// part of its tree, so dropping either from a save shows here.
+    #[test]
+    fn resumed_caches_pick_equal_victims_and_save_equal_bytes() {
+        const CUT_A: usize = 600;
+        const END: usize = 1_200;
+        let geom = CacheGeometry::new(8 * 4 * 64, 4, 1).unwrap();
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::TreePlru,
+            ReplacementPolicy::Random,
+        ] {
+            for seed in 0..16 {
+                let mut rng = consim_types::SimRng::from_seed(seed);
+                let mut straight = SetAssocCache::new(geom, policy);
+                for _ in 0..CUT_A {
+                    apply(&mut straight, next_step(&mut rng));
+                }
+                let at_a = saved(&straight);
+                let mut resumed = SetAssocCache::new(geom, policy);
+                resumed
+                    .restore(&mut SectionReader::new("caches", &at_a))
+                    .unwrap();
+                assert_eq!(saved(&resumed), at_a, "{policy:?} seed {seed} at A");
+                for cut_b in CUT_A + 1..=END {
+                    let step = next_step(&mut rng);
+                    assert_eq!(
+                        apply(&mut straight, step),
+                        apply(&mut resumed, step),
+                        "{policy:?} seed {seed} step {cut_b}: {step:?}"
+                    );
+                    assert_eq!(
+                        saved(&resumed),
+                        saved(&straight),
+                        "{policy:?} seed {seed} bytes at B = {cut_b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A hand-built section for a 4-set, 4-way LRU cache: the record
+    /// count, `(slot, tag, state)` records, the clock and one stamp per
+    /// record.
+    fn lru_section(count: u64, records: &[(u32, u64, u8)], clock: u64, stamps: &[u64]) -> Vec<u8> {
+        let mut w = SectionBuf::new();
+        w.put_usize(4);
+        w.put_u8(0);
+        w.put_u64(count);
+        for &(slot, tag, state) in records {
+            w.put_u32(slot);
+            w.put_u64(tag);
+            w.put_u8(state);
+        }
+        w.put_u64(clock);
+        for &stamp in stamps {
+            w.put_u64(stamp);
+        }
+        CacheStats::default().save(&mut w);
+        w.as_bytes().to_vec()
+    }
+
+    fn restore_crafted(bytes: &[u8]) -> Result<SetAssocCache, SimError> {
+        let mut c = small_cache(4, 4);
+        c.restore(&mut SectionReader::new("caches", bytes))?;
+        Ok(c)
+    }
+
+    /// Sparse-record corruption: checksums are skipped here, so each case
+    /// reaches the record decoder, which must refuse it as `Corrupt`.
+    #[test]
+    fn corrupt_sparse_records_are_typed_never_a_panic() {
+        // The well-formed baseline: block 4 lives in set 0 (slot 0), block
+        // 9 in set 1 (slot 5 = way 1).
+        let c = restore_crafted(&lru_section(2, &[(0, 4, 1), (5, 9, 3)], 10, &[7, 9])).unwrap();
+        assert_eq!(c.occupancy(), 2);
+        assert_eq!(c.probe(BlockAddr::new(4)), Some(LineState::Shared));
+        assert_eq!(c.probe(BlockAddr::new(9)), Some(LineState::Modified));
+        let cases: [(&str, Vec<u8>); 8] = [
+            (
+                "slot past capacity",
+                lru_section(1, &[(16, 4, 1)], 10, &[5]),
+            ),
+            (
+                "duplicate way",
+                lru_section(2, &[(5, 9, 1), (5, 13, 2)], 10, &[5, 6]),
+            ),
+            (
+                "slot before its predecessor",
+                lru_section(2, &[(5, 9, 1), (1, 4, 2)], 10, &[5, 6]),
+            ),
+            ("state tag 0", lru_section(1, &[(0, 4, 0)], 10, &[5])),
+            ("state tag 4", lru_section(1, &[(0, 4, 4)], 10, &[5])),
+            ("count above capacity", lru_section(17, &[], 10, &[])),
+            (
+                "stamp above the clock",
+                lru_section(2, &[(0, 4, 1), (5, 9, 3)], 10, &[7, 11]),
+            ),
+            ("tag in another set", lru_section(1, &[(0, 5, 1)], 10, &[5])),
+        ];
+        for (what, bytes) in cases {
+            let err = restore_crafted(&bytes).expect_err(what);
+            assert_eq!(
+                err.snapshot_kind(),
+                Some(SnapshotErrorKind::Corrupt),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! characterization trends are not an artifact of true-LRU bookkeeping.
 
 use consim_snap::{SectionBuf, SectionReader, Snapshot};
-use consim_types::{SimError, SimRng};
+use consim_types::{SimError, SimRng, SnapshotErrorKind};
 
 /// Which replacement policy a cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -370,13 +370,27 @@ impl ReplacementPlanes {
         }
     }
 
-    /// Appends the planes' dynamic state (the policy tag is written by the
-    /// owning cache, which also validates it on restore).
-    pub(crate) fn save(&self, w: &mut SectionBuf) {
+    /// Appends the planes' dynamic state for a cache whose state plane is
+    /// `states` (the policy tag is written by the owning cache, which also
+    /// validates it on restore).
+    ///
+    /// LRU writes the clock plus the stamps of the valid slots, in slot
+    /// order. An invalid way's stamp is never read: victims are picked
+    /// only when every candidate way is valid, and a fill touches its way
+    /// before anything can pick it. Tree-PLRU bits and the per-set RNGs
+    /// are written whole, because both outlive a set's lines: the bits of
+    /// an emptied set that later fills do not rewrite reach later saves,
+    /// and each RNG keeps its place in its stream, which decides later
+    /// victims.
+    pub(crate) fn save(&self, w: &mut SectionBuf, states: &[u8]) {
         match self {
             ReplacementPlanes::Lru { stamps, clock } => {
                 w.put_u64(*clock);
-                w.put_u64_slice(stamps);
+                for (&stamp, &state) in stamps.iter().zip(states) {
+                    if state != 0 {
+                        w.put_u64(stamp);
+                    }
+                }
             }
             ReplacementPlanes::TreePlru { bits } => {
                 w.put_usize(bits.len());
@@ -393,14 +407,30 @@ impl ReplacementPlanes {
         }
     }
 
-    /// Restores the planes' dynamic state in place.
-    pub(crate) fn restore(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
+    /// Restores the planes' dynamic state in place for a cache whose state
+    /// plane `states` is already restored. An LRU stamp above the clock is
+    /// [`SnapshotErrorKind::Corrupt`]: the clock is the latest stamp given.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut SectionReader<'_>,
+        states: &[u8],
+    ) -> Result<(), SimError> {
         match self {
             ReplacementPlanes::Lru { stamps, clock } => {
                 *clock = r.get_u64()?;
-                r.expect_len(stamps.len(), "LRU stamp-plane entries")?;
-                for stamp in stamps.iter_mut() {
-                    *stamp = r.get_u64()?;
+                for (stamp, &state) in stamps.iter_mut().zip(states) {
+                    if state != 0 {
+                        *stamp = r.get_u64()?;
+                        if *stamp > *clock {
+                            return Err(SimError::snapshot(
+                                SnapshotErrorKind::Corrupt,
+                                format!(
+                                    "section '{}': LRU stamp {stamp} is above the clock {clock}",
+                                    r.name()
+                                ),
+                            ));
+                        }
+                    }
                 }
                 Ok(())
             }

@@ -48,6 +48,7 @@ use consim_noc::{ContentionModel, NocStats, ReservationCalendar};
 use consim_sched::{place, Placement, SchedulingPolicy};
 use consim_snap::{
     restore_items, save_items, SectionBuf, SectionReader, SnapReader, SnapWriter, Snapshot,
+    CHECKPOINT_VERSION,
 };
 use consim_trace::{EventClass, TraceEvent, TraceSink};
 use consim_types::config::{LlcPartitioning, MachineConfig};
@@ -1803,7 +1804,7 @@ impl Simulation {
     /// Returns [`SimError::Snapshot`] with [`SnapshotErrorKind::Io`] if
     /// `writer` fails.
     pub fn checkpoint<W: Write>(&self, writer: &mut W) -> Result<(), SimError> {
-        let mut snap = SnapWriter::new(writer)?;
+        let mut snap = SnapWriter::new(writer, CHECKPOINT_VERSION)?;
 
         let mut buf = SectionBuf::new();
         snapshot::save_config(&self.config, &mut buf);
@@ -1852,7 +1853,7 @@ impl Simulation {
     /// magic, unsupported version, truncation, checksum mismatch, corrupt
     /// payload, I/O) — never panics on malformed input.
     pub fn resume<R: Read>(reader: R) -> Result<Self, SimError> {
-        let mut snap = SnapReader::from_reader(reader)?;
+        let mut snap = SnapReader::from_reader(reader, CHECKPOINT_VERSION)?;
         let config = {
             let mut r = snap.section("config")?;
             let config = snapshot::restore_config(&mut r)?;

@@ -738,6 +738,81 @@ mod snap {
         );
     }
 
+    /// A daemon-sized job on the paper machine (16 cores, 16 MB LLC):
+    /// four Table II VMs, shared-4, no prewarm, 2,500 quota accesses.
+    fn daemon_config(replacement: ReplacementPolicy) -> SimulationConfig {
+        let mut b = SimulationConfig::builder();
+        b.machine(MachineConfig::paper_default().with_sharing(SharingDegree::SharedBy(4)))
+            .llc_replacement(replacement)
+            .refs_per_vm(500)
+            .warmup_refs_per_vm(125)
+            .seed(31);
+        for kind in consim_workload::WorkloadKind::PAPER_SET {
+            b.workload(kind.profile());
+        }
+        b.build().unwrap()
+    }
+
+    fn checkpoint_bytes(sim: &Simulation) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        sim.checkpoint(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// The seam under every LLC replacement policy: a checkpoint taken at
+    /// A and resumed writes A's bytes again at once, and advanced to B it
+    /// writes the straight run's checkpoint at B byte for byte and ends
+    /// in a bit-identical outcome.
+    #[test]
+    fn resume_seam_is_byte_identical_for_every_llc_replacement_policy() {
+        const CUT_A: u64 = 700;
+        const CUT_B: u64 = 1_600;
+        for replacement in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::TreePlru,
+            ReplacementPolicy::Random,
+        ] {
+            let mut straight = Simulation::new(daemon_config(replacement)).unwrap();
+            assert_eq!(straight.advance(CUT_B, None).unwrap(), RunStatus::Running);
+            let at_b = checkpoint_bytes(&straight);
+            assert_eq!(
+                straight.advance(u64::MAX, None).unwrap(),
+                RunStatus::Complete
+            );
+            let straight = straight.finish().unwrap();
+
+            let at_a = checkpoint_at(daemon_config(replacement), CUT_A);
+            let mut resumed = Simulation::resume(at_a.as_slice()).unwrap();
+            assert!(
+                checkpoint_bytes(&resumed) == at_a,
+                "{replacement:?}: checkpoint → resume → checkpoint moved bytes"
+            );
+            assert_eq!(
+                resumed.advance(CUT_B - CUT_A, None).unwrap(),
+                RunStatus::Running
+            );
+            assert!(
+                checkpoint_bytes(&resumed) == at_b,
+                "{replacement:?}: the resumed checkpoint at B differs from the straight run's"
+            );
+            assert_eq!(
+                resumed.advance(u64::MAX, None).unwrap(),
+                RunStatus::Complete
+            );
+            let resumed = resumed.finish().unwrap();
+            assert_eq!(
+                fingerprint(&resumed),
+                fingerprint(&straight),
+                "{replacement:?}"
+            );
+            assert!(
+                crate::persist::outcome_to_bytes(&resumed).unwrap()
+                    == crate::persist::outcome_to_bytes(&straight).unwrap(),
+                "{replacement:?}: outcome records differ"
+            );
+        }
+    }
+
     /// A dynamic-QoS variant of [`config`]: a short repartition epoch, no
     /// dead-band, and an asymmetric VM mix so controller decisions land —
     /// and actually move ways — inside the measured window.

@@ -22,7 +22,7 @@ use crate::engine::{Simulation, SimulationConfig, SimulationOutcome};
 use crate::metrics::{OccupancySnapshot, ReplicationSnapshot, VmMetrics};
 use crate::snapshot;
 use consim_sched::Placement;
-use consim_snap::{fnv1a, SectionBuf, SectionReader, SnapReader, SnapWriter, Snapshot};
+use consim_snap::{fnv1a, SectionBuf, SectionReader, SnapReader, SnapWriter, Snapshot, VERSION};
 use consim_types::{CoreId, GlobalThreadId, SimError, SnapshotErrorKind, ThreadId, VmId};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -117,7 +117,7 @@ pub fn read_checkpoint(path: &Path) -> Result<Simulation, SimError> {
 /// Returns [`SimError::Snapshot`] on serialization failure.
 pub fn outcome_to_bytes(outcome: &SimulationOutcome) -> Result<Vec<u8>, SimError> {
     let mut bytes = Vec::new();
-    let mut writer = SnapWriter::new(&mut bytes)?;
+    let mut writer = SnapWriter::new(&mut bytes, VERSION)?;
     let mut buf = SectionBuf::new();
     save_outcome(outcome, &mut buf);
     writer.section("outcome", &buf)?;
@@ -133,7 +133,7 @@ pub fn outcome_to_bytes(outcome: &SimulationOutcome) -> Result<Vec<u8>, SimError
 /// Returns [`SimError::Snapshot`] on a corrupt/truncated record (the
 /// `consim-snap` checksum catches bit rot).
 pub fn outcome_from_bytes(bytes: &[u8]) -> Result<SimulationOutcome, SimError> {
-    let mut snap = SnapReader::from_bytes(bytes.to_vec())?;
+    let mut snap = SnapReader::from_bytes(bytes.to_vec(), VERSION)?;
     let mut r = snap.section("outcome")?;
     let outcome = restore_outcome(&mut r)?;
     if r.remaining() != 0 {
@@ -160,7 +160,7 @@ pub fn outcome_from_bytes(bytes: &[u8]) -> Result<SimulationOutcome, SimError> {
 /// Returns [`SimError::Snapshot`] on serialization failure.
 pub fn config_to_bytes(config: &SimulationConfig) -> Result<Vec<u8>, SimError> {
     let mut bytes = Vec::new();
-    let mut writer = SnapWriter::new(&mut bytes)?;
+    let mut writer = SnapWriter::new(&mut bytes, VERSION)?;
     let mut buf = SectionBuf::new();
     snapshot::save_config(config, &mut buf);
     writer.section("config", &buf)?;
@@ -176,7 +176,7 @@ pub fn config_to_bytes(config: &SimulationConfig) -> Result<Vec<u8>, SimError> {
 ///
 /// Returns [`SimError::Snapshot`] on a corrupt/truncated record.
 pub fn config_from_bytes(bytes: &[u8]) -> Result<SimulationConfig, SimError> {
-    let mut snap = SnapReader::from_bytes(bytes.to_vec())?;
+    let mut snap = SnapReader::from_bytes(bytes.to_vec(), VERSION)?;
     let mut r = snap.section("config")?;
     let config = snapshot::restore_config(&mut r)?;
     if r.remaining() != 0 {
@@ -202,7 +202,7 @@ pub fn config_from_bytes(bytes: &[u8]) -> Result<SimulationConfig, SimError> {
 /// Returns [`SimError::Snapshot`] on serialization or I/O failure.
 pub fn write_spec(path: &Path, cell: usize, config: &SimulationConfig) -> Result<(), SimError> {
     persist(path, |bytes| {
-        let mut writer = SnapWriter::new(bytes)?;
+        let mut writer = SnapWriter::new(bytes, VERSION)?;
         let mut buf = SectionBuf::new();
         buf.put_usize(cell);
         snapshot::save_config(config, &mut buf);
@@ -219,7 +219,7 @@ pub fn write_spec(path: &Path, cell: usize, config: &SimulationConfig) -> Result
 /// Returns [`SimError::Snapshot`] on I/O failure or a corrupt record.
 pub fn read_spec(path: &Path) -> Result<(usize, SimulationConfig), SimError> {
     let bytes = fs::read(path).map_err(|e| io_error("read", path, e))?;
-    let mut snap = SnapReader::from_bytes(bytes)?;
+    let mut snap = SnapReader::from_bytes(bytes, VERSION)?;
     let mut r = snap.section("spec")?;
     let cell = r.get_usize()?;
     let config = snapshot::restore_config(&mut r)?;
@@ -386,7 +386,7 @@ mod tests {
     use crate::engine::SimulationConfig;
     use consim_workload::WorkloadProfileBuilder;
 
-    fn outcome() -> SimulationOutcome {
+    fn outcome_config() -> SimulationConfig {
         let profile = WorkloadProfileBuilder::new("j")
             .footprint_blocks(3_000)
             .build()
@@ -397,7 +397,30 @@ mod tests {
             .warmup_refs_per_vm(300)
             .track_footprint(true)
             .seed(12);
-        Simulation::new(b.build().unwrap()).unwrap().run().unwrap()
+        b.build().unwrap()
+    }
+
+    fn outcome() -> SimulationOutcome {
+        Simulation::new(outcome_config()).unwrap().run().unwrap()
+    }
+
+    /// Record bytes outlive a build: journals keep them across restarts,
+    /// clients decode them, and perfbench pins seed-1 digests over them.
+    /// These digests were taken before checkpoints got a format version
+    /// of their own; a change to a record's layout or to the simulation
+    /// moves them.
+    #[test]
+    fn record_bytes_are_pinned() {
+        assert_eq!(
+            fnv1a(&outcome_to_bytes(&outcome()).unwrap()),
+            0xce6d_283f_c58f_9736,
+            "outcome record bytes moved"
+        );
+        assert_eq!(
+            fnv1a(&config_to_bytes(&outcome_config()).unwrap()),
+            0x286e_af4a_cb47_a99c,
+            "configuration record bytes moved"
+        );
     }
 
     /// Exact equality over everything the aggregator and figures consume.

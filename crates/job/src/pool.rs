@@ -27,7 +27,7 @@ use crate::sink::{JobOutput, JobSource, ResultSink};
 use crate::spec::JobSpec;
 use consim::engine::{RunStatus, Simulation, SimulationOutcome};
 use consim_trace::{TraceEvent, TraceSink};
-use consim_types::SimError;
+use consim_types::{SimError, SnapshotErrorKind};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -355,7 +355,9 @@ fn is_cancelled(shared: &Shared, index: usize) -> bool {
 /// Brings a dequeued job into the resident set — unless the journal
 /// already holds its outcome (served for free, bypassing timing and the
 /// fault threshold: it was counted by the invocation that ran it) or it
-/// was cancelled before ever running.
+/// was cancelled before ever running. A journaled checkpoint resumes the
+/// job; one of another format version is discarded and the job starts
+/// from [`Simulation::new`].
 fn admit(shared: &Shared, job: JobSpec) -> Option<Active> {
     if is_cancelled(shared, job.index()) {
         shared.sink.job_finished(&job, Ok(JobOutput::Cancelled));
@@ -394,6 +396,12 @@ fn admit(shared: &Shared, job: JobSpec) -> Option<Active> {
                 });
             }
             Ok(None) => {}
+            // A checkpoint of another format version, left by another
+            // build, is dropped and the job starts over: runs are
+            // deterministic, so the outcome is the same byte for byte.
+            Err(e) if e.snapshot_kind() == Some(SnapshotErrorKind::BadVersion) => {
+                journal.discard_checkpoint(&job);
+            }
             Err(e) => {
                 finish_simulated(shared, &job, Err(e), Duration::ZERO);
                 return None;
@@ -656,6 +664,71 @@ mod tests {
         expected.extend([true; 3]);
         assert_eq!(*probe.seen.lock().unwrap(), expected);
         assert!(!probe.path.exists(), "completion discards the checkpoint");
+    }
+
+    /// Runs `cfg` alone on a one-worker pool over `journal` and returns
+    /// its result.
+    fn run_one(journal: &JobJournal, cfg: &SimulationConfig) -> Result<JobOutput, SimError> {
+        let queue = Arc::new(LiveQueue::new());
+        queue.push(0, cfg.clone()).unwrap();
+        queue.close();
+        let sink = Arc::new(CollectingSink::new());
+        let pool = WorkerPool::start(
+            PoolConfig::default(),
+            queue as Arc<dyn JobQueue>,
+            Arc::clone(&sink) as Arc<dyn ResultSink>,
+            Some(journal.clone()),
+            None,
+        );
+        assert_eq!(pool.join().simulated, 1);
+        sink.take().remove(&0).expect("the job reports")
+    }
+
+    /// A checkpoint written in an older checkpoint format (a daemon
+    /// restarted over a journal that an older build wrote) re-runs its
+    /// job from the start to the same outcome bytes; any other checkpoint
+    /// error still fails the job.
+    #[test]
+    fn checkpoint_of_an_older_version_reruns_its_job() {
+        let scratch = ScratchDir::new("oldckpt");
+        let journal = JobJournal::open(&scratch.0).unwrap();
+        let cfg = short_config(3, 600, 200, false);
+        let spec = JobSpec::new(0, 0, cfg.clone());
+        let path = journal.checkpoint_path(&spec);
+        let store = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut sim = Simulation::new(cfg.clone()).unwrap();
+            assert_eq!(sim.advance(300, None).unwrap(), RunStatus::Running);
+            journal.store_checkpoint(&spec, &sim).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            edit(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+        };
+
+        store(&|bytes| {
+            let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+            bytes[4..8].copy_from_slice(&(version - 1).to_le_bytes());
+        });
+        let Ok(JobOutput::Completed { outcome, .. }) = run_one(&journal, &cfg) else {
+            panic!("a job over an older checkpoint must complete");
+        };
+        let direct = Simulation::new(cfg.clone()).unwrap().run().unwrap();
+        assert_eq!(
+            persist::outcome_to_bytes(&outcome).unwrap(),
+            persist::outcome_to_bytes(&direct).unwrap()
+        );
+        assert!(!path.exists(), "the older checkpoint is gone");
+
+        std::fs::remove_file(journal.outcome_path(&spec)).unwrap();
+        store(&|bytes| {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+        });
+        let err = run_one(&journal, &cfg).expect_err("a corrupt checkpoint fails its job");
+        assert_eq!(
+            err.snapshot_kind(),
+            Some(SnapshotErrorKind::Checksum),
+            "{err}"
+        );
     }
 
     /// A prewarmed job fills its LLC banks once, inside its first slice:

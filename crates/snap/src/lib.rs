@@ -30,7 +30,7 @@
 //! # Examples
 //!
 //! ```
-//! use consim_snap::{SectionBuf, SnapReader, SnapWriter, Snapshot};
+//! use consim_snap::{SectionBuf, SnapReader, SnapWriter, Snapshot, VERSION};
 //! use consim_types::SimRng;
 //!
 //! let mut rng = SimRng::from_seed(7);
@@ -39,10 +39,10 @@
 //! let mut buf = SectionBuf::new();
 //! rng.save(&mut buf);
 //! let mut out = Vec::new();
-//! let mut writer = SnapWriter::new(&mut out).unwrap();
+//! let mut writer = SnapWriter::new(&mut out, VERSION).unwrap();
 //! writer.section("rng", &buf).unwrap();
 //!
-//! let mut reader = SnapReader::from_reader(&out[..]).unwrap();
+//! let mut reader = SnapReader::from_reader(&out[..], VERSION).unwrap();
 //! let mut restored = SimRng::from_seed(0);
 //! restored.restore(&mut reader.section("rng").unwrap()).unwrap();
 //! assert_eq!(restored.next_u64(), rng.next_u64());
@@ -56,9 +56,10 @@ use consim_types::{Cycle, SimError, SimRng, SnapshotErrorKind};
 /// File magic: the first four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"CSNP";
 
-/// Current format version. Bump on any incompatible layout change.
+/// Format version of standalone records: outcome, configuration and
+/// submission records. Bump on any incompatible record layout change.
 ///
-/// Version history:
+/// Versions 1–4 covered checkpoints and records alike:
 /// * 1 — per-set AoS cache sections (`Option<CacheLine>` per way).
 /// * 2 — flat SoA cache planes (tag/state/recency vectors per cache) and
 ///   batched generator cursors; v1 files are rejected as
@@ -72,7 +73,22 @@ pub const MAGIC: [u8; 4] = *b"CSNP";
 ///   gains the next churn boundary plus the churn runtime state (active
 ///   flags, arrival ordinals, bindings, statistics); older versions are
 ///   rejected as [`SnapshotErrorKind::BadVersion`].
+/// * 5 — checkpoints only ([`CHECKPOINT_VERSION`]): a cache section
+///   carries its valid lines as `(slot, tag, state)` records plus their
+///   LRU stamps, not whole tag/state/stamp planes. A v4 checkpoint is
+///   rejected as [`SnapshotErrorKind::BadVersion`], and the job pool
+///   re-runs its job. Records stay at 4, so their bytes and every digest
+///   taken over them are unchanged.
 pub const VERSION: u32 = 4;
+
+/// Format version of engine checkpoints (`Simulation::checkpoint`).
+///
+/// Checkpoints are versioned apart from records since 5 (see
+/// [`VERSION`]'s history): a checkpoint layout change must not move a
+/// byte of an outcome record, whose digests callers pin. A checkpoint
+/// of any other version is rejected as [`SnapshotErrorKind::BadVersion`];
+/// runs are deterministic, so its owner can re-run the job instead.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// FNV-1a hash of a byte slice — the section checksum function.
 ///
@@ -364,11 +380,13 @@ pub struct SnapWriter<W: Write> {
 }
 
 impl<W: Write> SnapWriter<W> {
-    /// Writes the snapshot header and returns the section writer.
-    pub fn new(mut inner: W) -> Result<Self, SimError> {
+    /// Writes the snapshot header stamped with format `version`
+    /// ([`VERSION`] or [`CHECKPOINT_VERSION`]) and returns the section
+    /// writer.
+    pub fn new(mut inner: W, version: u32) -> Result<Self, SimError> {
         let mut header = Vec::with_capacity(8);
         header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.extend_from_slice(&version.to_le_bytes());
         inner
             .write_all(&header)
             .map_err(|e| SimError::snapshot(SnapshotErrorKind::Io, e.to_string()))?;
@@ -407,17 +425,19 @@ pub struct SnapReader {
 }
 
 impl SnapReader {
-    /// Slurps the whole stream and validates the header.
-    pub fn from_reader<R: Read>(mut reader: R) -> Result<Self, SimError> {
+    /// Slurps the whole stream and validates the header; the stream must
+    /// carry format `version`.
+    pub fn from_reader<R: Read>(mut reader: R, version: u32) -> Result<Self, SimError> {
         let mut data = Vec::new();
         reader
             .read_to_end(&mut data)
             .map_err(|e| SimError::snapshot(SnapshotErrorKind::Io, e.to_string()))?;
-        Self::from_bytes(data)
+        Self::from_bytes(data, version)
     }
 
-    /// Validates the header of an in-memory snapshot.
-    pub fn from_bytes(data: Vec<u8>) -> Result<Self, SimError> {
+    /// Validates the header of an in-memory snapshot, which must carry
+    /// format `version`.
+    pub fn from_bytes(data: Vec<u8>, version: u32) -> Result<Self, SimError> {
         if data.len() < 4 {
             return Err(truncated("file shorter than magic"));
         }
@@ -430,11 +450,11 @@ impl SnapReader {
         if data.len() < 8 {
             return Err(truncated("file ends inside version field"));
         }
-        let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
-        if version != VERSION {
+        let stored = u32::from_le_bytes(data[4..8].try_into().unwrap());
+        if stored != version {
             return Err(SimError::snapshot(
                 SnapshotErrorKind::BadVersion,
-                format!("snapshot version {version}, this build reads {VERSION}"),
+                format!("snapshot version {stored}, this build reads {version}"),
             ));
         }
         Ok(Self { data, pos: 8 })
@@ -575,7 +595,7 @@ mod tests {
         b.put_u8(9);
 
         let mut out = Vec::new();
-        let mut w = SnapWriter::new(&mut out).unwrap();
+        let mut w = SnapWriter::new(&mut out, VERSION).unwrap();
         w.section("alpha", &a).unwrap();
         w.section("beta", &b).unwrap();
         w.finish().unwrap();
@@ -585,7 +605,7 @@ mod tests {
     #[test]
     fn round_trips_all_primitives() {
         let bytes = two_section_snapshot();
-        let mut r = SnapReader::from_bytes(bytes).unwrap();
+        let mut r = SnapReader::from_bytes(bytes, VERSION).unwrap();
         let mut a = r.section("alpha").unwrap();
         assert_eq!(a.get_u64().unwrap(), 0xdead_beef);
         assert_eq!(a.get_str().unwrap(), "hello");
@@ -603,7 +623,7 @@ mod tests {
     fn wrong_magic_is_typed() {
         let mut bytes = two_section_snapshot();
         bytes[0] = b'X';
-        let err = SnapReader::from_bytes(bytes).unwrap_err();
+        let err = SnapReader::from_bytes(bytes, VERSION).unwrap_err();
         assert_eq!(err.snapshot_kind(), Some(SnapshotErrorKind::BadMagic));
     }
 
@@ -611,7 +631,7 @@ mod tests {
     fn wrong_version_is_typed() {
         let mut bytes = two_section_snapshot();
         bytes[4] = 0xff;
-        let err = SnapReader::from_bytes(bytes).unwrap_err();
+        let err = SnapReader::from_bytes(bytes, VERSION).unwrap_err();
         assert_eq!(err.snapshot_kind(), Some(SnapshotErrorKind::BadVersion));
     }
 
@@ -621,7 +641,21 @@ mod tests {
         // error, never a garbled parse.
         let mut bytes = two_section_snapshot();
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let err = SnapReader::from_bytes(bytes).unwrap_err();
+        let err = SnapReader::from_bytes(bytes, VERSION).unwrap_err();
+        assert_eq!(err.snapshot_kind(), Some(SnapshotErrorKind::BadVersion));
+    }
+
+    #[test]
+    fn records_and_checkpoints_refuse_each_others_version() {
+        let mut checkpoint = Vec::new();
+        SnapWriter::new(&mut checkpoint, CHECKPOINT_VERSION)
+            .unwrap()
+            .finish()
+            .unwrap();
+        assert!(SnapReader::from_bytes(checkpoint.clone(), CHECKPOINT_VERSION).is_ok());
+        let err = SnapReader::from_bytes(checkpoint, VERSION).unwrap_err();
+        assert_eq!(err.snapshot_kind(), Some(SnapshotErrorKind::BadVersion));
+        let err = SnapReader::from_bytes(two_section_snapshot(), CHECKPOINT_VERSION).unwrap_err();
         assert_eq!(err.snapshot_kind(), Some(SnapshotErrorKind::BadVersion));
     }
 
@@ -644,13 +678,14 @@ mod tests {
     fn truncation_anywhere_is_typed_never_a_panic() {
         let bytes = two_section_snapshot();
         for cut in 0..bytes.len() {
-            let result = SnapReader::from_bytes(bytes[..cut].to_vec()).and_then(|mut r| {
-                let mut a = r.section("alpha")?;
-                a.get_u64()?;
-                a.get_str()?;
-                r.section("beta")?;
-                Ok(())
-            });
+            let result =
+                SnapReader::from_bytes(bytes[..cut].to_vec(), VERSION).and_then(|mut r| {
+                    let mut a = r.section("alpha")?;
+                    a.get_u64()?;
+                    a.get_str()?;
+                    r.section("beta")?;
+                    Ok(())
+                });
             let err = result.expect_err("truncated snapshot must not parse");
             assert!(
                 matches!(
@@ -682,7 +717,7 @@ mod tests {
             for offset in [0, len / 2, len - 1] {
                 let mut bytes = clean.clone();
                 bytes[start + offset] ^= 0x01;
-                let mut r = SnapReader::from_bytes(bytes).unwrap();
+                let mut r = SnapReader::from_bytes(bytes, VERSION).unwrap();
                 let result = (|| {
                     r.section("alpha")?;
                     r.section("beta")?;
@@ -701,7 +736,7 @@ mod tests {
     #[test]
     fn wrong_section_name_is_corrupt() {
         let bytes = two_section_snapshot();
-        let mut r = SnapReader::from_bytes(bytes).unwrap();
+        let mut r = SnapReader::from_bytes(bytes, VERSION).unwrap();
         let err = r.section("gamma").unwrap_err();
         assert_eq!(err.snapshot_kind(), Some(SnapshotErrorKind::Corrupt));
         assert!(err.to_string().contains("gamma"));
@@ -719,7 +754,7 @@ mod tests {
     fn trailing_bytes_are_detected() {
         let mut bytes = two_section_snapshot();
         bytes.push(0);
-        let mut r = SnapReader::from_bytes(bytes).unwrap();
+        let mut r = SnapReader::from_bytes(bytes, VERSION).unwrap();
         r.section("alpha").unwrap();
         r.section("beta").unwrap();
         let err = r.expect_end().unwrap_err();
