@@ -91,10 +91,6 @@ env "${job_env[@]}" \
   --resume "$smoke_dir/journal" > "$smoke_dir/resumed.txt"
 cmp "$smoke_dir/plain.txt" "$smoke_dir/resumed.txt"
 
-echo "== job layer demo (live queue, time slices, cancel, fault+resume) =="
-CONSIM_REFS=2000 CONSIM_WARMUP=500 CONSIM_SEEDS=2 \
-  cargo run --release -q -p consim-bench --bin jobs > /dev/null
-
 echo "== daemon stress smoke (crash mid-run, restart, ledger match) =="
 # A fixed-seed 200-job stress against the consim-serve daemon. The
 # reference run is uninterrupted and verifies every completed outcome
@@ -123,8 +119,9 @@ cmp "$smoke_dir/ref.ledger" "$smoke_dir/crash.ledger"
 echo "== perf smoke (non-gating, short throughput probe) =="
 # A short serial probe compared against the committed BENCH_engine.json
 # baseline. Informational only: wall-clock noise (shared CI boxes, thermal
-# state) is far above any gate we could set, so a regression here prompts a
-# full `cargo run --release -p consim-bench --bin throughput` by hand.
+# state) is far above any gate we could set, so a regression here prompts
+# alternating parent/change `python3 perfbench/run.py --workload
+# engine-shapes` pairs by hand (DESIGN.md §10, "Measurement protocol").
 if [ ! -s BENCH_engine.json ]; then
   echo "perf smoke: SKIPPED — no committed BENCH_engine.json baseline" \
     "(regenerate with \`cargo run --release -p consim-bench --bin throughput\`)"

@@ -44,7 +44,7 @@
 //! binaries: `run_all` (every exhibit), `calibrate` (Table II calibration
 //! check), `sweep` (profile-knob search, one parallel batch per workload),
 //! `diagnose` (latency-composition debugging), `throughput` (engine
-//! refs/sec probe), `jobs` (job-layer demo).
+//! refs/sec smoke probe).
 
 pub mod cli;
 pub mod context;

@@ -5,10 +5,10 @@
 //! empty), and the replacement planes ([`ReplacementPlanes`]). A set probe
 //! is a stride-limited scan over adjacent words instead of pointer-chasing
 //! `Option<CacheLine>`, which is what the engine's hot path spends most of
-//! its time doing. The per-set AoS formulation ([`crate::set::CacheSet`])
-//! is retained as the executable specification; the differential tests in
-//! `crates/cache/tests/soa_vs_aos.rs` pin this implementation to it
-//! operation by operation.
+//! its time doing. The reference for its semantics is consim-check's naive
+//! cache model: a differential test there drives both through the same
+//! seeded streams under all three replacement policies, masked fills and a
+//! mid-stream restore included.
 
 use crate::line::{CacheLine, LineState};
 use crate::replacement::{ReplacementPlanes, ReplacementPolicy};
@@ -204,10 +204,11 @@ impl SetAssocCache {
         self.insert_masked(block, state, mask, true)
     }
 
-    /// Shared fill path. `masked` only affects which replacement entry
-    /// point is used so the RNG draw sequence matches the per-set
-    /// reference exactly (plain inserts draw `index(ways)`, masked ones
-    /// `index(popcount)`).
+    /// Shared fill path. `masked` only picks the victim entry point: plain
+    /// inserts take the unmasked `ReplacementPlanes::victim`, which picks
+    /// the same way and makes the same RNG draw as `victim_in` with a full
+    /// mask but skips the mask tests. Routing every fill through
+    /// `victim_in` measured slower on the engine benchmark.
     fn insert_masked(
         &mut self,
         block: BlockAddr,
@@ -765,6 +766,53 @@ mod tests {
                 "{what}: {err}"
             );
         }
+    }
+
+    /// The widest set a geometry allows fills every way before it evicts,
+    /// and evicts the least recent line after.
+    #[test]
+    fn a_64_way_set_fills_all_64_ways() {
+        let mut c = small_cache(64, 1);
+        for n in 0..64 {
+            assert!(c.insert(BlockAddr::new(n), LineState::Shared).is_none());
+        }
+        assert_eq!(c.occupancy(), 64);
+        let victim = c.insert(BlockAddr::new(64), LineState::Shared).unwrap();
+        assert_eq!(victim.block, BlockAddr::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn tree_plru_rejects_non_power_of_two_ways() {
+        let geom = CacheGeometry::new(6 * 64, 6, 1).unwrap();
+        let _ = SetAssocCache::new(geom, ReplacementPolicy::TreePlru);
+    }
+
+    /// Eight conflicting fills into a full 8-way tree-PLRU set evict each
+    /// way once: every fill points the tree away from the way it took.
+    #[test]
+    fn tree_plru_evicts_every_way_of_a_full_set_once() {
+        let geom = CacheGeometry::new(8 * 64, 8, 1).unwrap();
+        let mut c = SetAssocCache::new(geom, ReplacementPolicy::TreePlru);
+        for n in 0..8 {
+            c.insert(BlockAddr::new(n), LineState::Shared);
+        }
+        let mut ways = std::collections::BTreeSet::new();
+        for n in 8..16 {
+            assert!(c.insert(BlockAddr::new(n), LineState::Shared).is_some());
+            ways.insert(c.way_of(0, n).unwrap());
+        }
+        assert_eq!(ways.len(), 8, "ways evicted: {ways:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "allows no way")]
+    fn full_set_refuses_a_mask_with_no_way() {
+        let mut c = small_cache(4, 1);
+        for n in 0..4 {
+            c.insert(BlockAddr::new(n), LineState::Shared);
+        }
+        c.insert_in_ways(BlockAddr::new(4), LineState::Shared, 0b1_0000);
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //!
 //! * [`line`] — cache lines and their coherence-relevant state;
 //! * [`replacement`] — pluggable replacement policies (true LRU, tree-PLRU,
-//!   random), both the flat per-cache planes the production cache uses and
-//!   the per-set reference formulation;
-//! * [`set`] — one associative set (AoS reference model for the
-//!   differential property tests);
+//!   random) kept as flat per-cache planes;
 //! * [`cache`] — a whole set-associative cache ([`SetAssocCache`]), stored
 //!   as flat struct-of-arrays tag/state/recency planes;
 //! * [`stats`] — per-cache hit/miss/eviction counters.
@@ -17,6 +14,10 @@
 //! [`consim_types::BlockAddr`], so a line implicitly knows which VM owns it —
 //! the facility the replication (paper Fig. 12) and occupancy (Fig. 13)
 //! metrics build on.
+//!
+//! The reference model for [`SetAssocCache`] is consim-check's naive
+//! cache, the oracle's own: a differential test there drives both through
+//! the same seeded streams under every replacement policy.
 //!
 //! # Examples
 //!
@@ -36,7 +37,6 @@
 pub mod cache;
 pub mod line;
 pub mod replacement;
-pub mod set;
 pub mod stats;
 
 pub use cache::SetAssocCache;

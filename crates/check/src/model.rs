@@ -9,12 +9,17 @@
 //! counters, LLC replication, and LLC occupancy.
 //!
 //! Nothing here is shared with the engine except the small value types
-//! (`LineState`, `MissSource`): caches are vectors of `(block, state,
-//! stamp)` tuples with a global logical clock instead of per-way recency
-//! bits, the directory is a `BTreeMap` of owner/sharer sets, and mesh
-//! distances are recomputed from first principles. No NoC timing, no
-//! memory-controller calendars, no statistics plumbing — time does not
-//! exist in this model, only contents.
+//! (`LineState`, `ReplacementPolicy`, `MissSource`): caches are vectors of
+//! `(block, state, stamp, way)` slots with a global logical clock instead
+//! of per-way recency planes, the directory is a `BTreeMap` of
+//! owner/sharer sets, and mesh distances are recomputed from first
+//! principles. No NoC timing, no memory-controller calendars, no
+//! statistics plumbing — time does not exist in this model, only contents.
+//!
+//! The cache, `NaiveCache`, is also the one reference model of
+//! `consim_cache::SetAssocCache`: besides the LRU the machine model uses,
+//! it implements tree-PLRU and Random victims, and a differential test
+//! below drives both caches through the same seeded streams.
 //!
 //! The model intentionally mirrors the engine's *tie-breaking* rules, which
 //! are part of the simulated machine's definition (nearest clean supplier,
@@ -24,7 +29,7 @@ use consim::churn::{ChurnAction, ChurnDecision};
 use consim::metrics::MissSource;
 use consim::observe::{AccessStep, StepOutcome};
 use consim::qos::{RepartitionDecision, VmClass};
-use consim_cache::LineState;
+use consim_cache::{LineState, ReplacementPolicy};
 use consim_types::config::{ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfig};
 use consim_types::rng::SimRng;
 use consim_types::{BankId, BlockAddr, CoreId};
@@ -76,31 +81,62 @@ pub enum Mutation {
 struct Slot {
     block: BlockAddr,
     state: LineState,
-    /// Global logical time of the last recency touch; the minimum stamp in
-    /// a full set is the LRU victim. Equivalent to the engine's per-way
-    /// recency order because both touch exactly on hits and inserts.
+    /// Global logical time of the last recency touch; under LRU the
+    /// minimum stamp among the candidate ways is the victim. Equivalent to
+    /// the engine's per-way recency order because both touch exactly on
+    /// hits and inserts.
     touched: u64,
     /// Physical way index. Fills take the lowest free way and evictions
-    /// reuse the victim's way, mirroring the engine — which makes the
-    /// masked (dynamic-partitioning) fill path way-exact. The static paths
-    /// never consult it.
+    /// reuse the victim's way, mirroring the engine — which makes masked
+    /// fills, tree-PLRU and Random way-exact. The static-quota path never
+    /// consults it.
     way: usize,
 }
 
-/// A set-associative cache as flat per-set vectors, LRU by stamp.
+/// Victim-choice state beyond the slots' LRU stamps, held only for the
+/// policy in use.
+#[derive(Debug, Clone)]
+enum Victims {
+    /// True LRU: the slots' stamps are all it needs.
+    Lru,
+    /// Per set, `ways - 1` tree-PLRU bits in heap order (node `n`'s
+    /// children are `2n + 1` and `2n + 2`); a set bit points the next
+    /// victim at the right subtree.
+    TreePlru(Vec<Vec<bool>>),
+    /// Per set, the stream `SimRng::from_seed(set)`, drawn once per
+    /// eviction.
+    Random(Vec<SimRng>),
+}
+
+/// A set-associative cache as flat per-set vectors: the reference for
+/// `SetAssocCache` under all three replacement policies, masked fills
+/// included. The oracle's machine model uses it LRU-only.
 #[derive(Debug, Clone)]
 struct NaiveCache {
     num_sets: u64,
     ways: usize,
     sets: Vec<Vec<Slot>>,
+    victims: Victims,
 }
 
 impl NaiveCache {
-    fn new(num_sets: usize, ways: usize) -> Self {
+    /// An empty cache. Tree-PLRU needs a power-of-two way count.
+    fn new(num_sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
+        let victims = match policy {
+            ReplacementPolicy::Lru => Victims::Lru,
+            ReplacementPolicy::TreePlru => {
+                assert!(ways.is_power_of_two(), "tree-PLRU needs 2^k ways");
+                Victims::TreePlru(vec![vec![false; ways - 1]; num_sets])
+            }
+            ReplacementPolicy::Random => {
+                Victims::Random((0..num_sets as u64).map(SimRng::from_seed).collect())
+            }
+        };
         Self {
             num_sets: num_sets as u64,
             ways,
             sets: vec![Vec::new(); num_sets],
+            victims,
         }
     }
 
@@ -108,27 +144,46 @@ impl NaiveCache {
         (block.raw() % self.num_sets) as usize
     }
 
+    /// Position of `block` in its set's vector, if present.
+    fn find(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        self.sets[set].iter().position(|s| s.block == block)
+    }
+
+    /// Records a hit or fill of the `i`-th slot of `set`: a fresh stamp,
+    /// and every tree-PLRU node on the path to its way pointed away from
+    /// it.
+    fn touch(&mut self, set: usize, i: usize, now: u64) {
+        let slot = &mut self.sets[set][i];
+        slot.touched = now;
+        if let Victims::TreePlru(bits) = &mut self.victims {
+            let mut node = 0;
+            for level in (0..self.ways.trailing_zeros()).rev() {
+                let right = slot.way >> level & 1;
+                bits[set][node] = right == 0;
+                node = 2 * node + 1 + right;
+            }
+        }
+    }
+
     /// Lookup without a recency touch (the engine's `probe`/`contains`).
     fn probe(&self, block: BlockAddr) -> Option<LineState> {
-        self.sets[self.set_of(block)]
-            .iter()
-            .find(|s| s.block == block)
-            .map(|s| s.state)
+        let set = self.set_of(block);
+        self.find(set, block).map(|i| self.sets[set][i].state)
     }
 
     /// Demand lookup: touches recency on a hit (the engine's `access`).
     fn access(&mut self, block: BlockAddr, now: u64) -> Option<LineState> {
         let set = self.set_of(block);
-        let slot = self.sets[set].iter_mut().find(|s| s.block == block)?;
-        slot.touched = now;
-        Some(slot.state)
+        let i = self.find(set, block)?;
+        self.touch(set, i, now);
+        Some(self.sets[set][i].state)
     }
 
     /// State change in place, no recency touch; absent blocks are ignored.
     fn set_state(&mut self, block: BlockAddr, state: LineState) {
         let set = self.set_of(block);
-        if let Some(slot) = self.sets[set].iter_mut().find(|s| s.block == block) {
-            slot.state = state;
+        if let Some(i) = self.find(set, block) {
+            self.sets[set][i].state = state;
         }
     }
 
@@ -138,46 +193,63 @@ impl NaiveCache {
         (0..ways).find(|&w| mask >> w & 1 == 1 && used >> w & 1 == 0)
     }
 
-    /// Fill: updates in place on re-insert, else takes the lowest free
-    /// way, else evicts the minimum-stamp (LRU) slot. Returns the victim.
-    fn insert(&mut self, block: BlockAddr, state: LineState, now: u64) -> Option<Slot> {
-        let ways = self.ways;
-        let idx = self.set_of(block);
-        let set = &mut self.sets[idx];
-        if let Some(slot) = set.iter_mut().find(|s| s.block == block) {
-            slot.state = state;
-            slot.touched = now;
-            return None;
-        }
-        let mut fresh = Slot {
+    /// Updates `block` in place if its set holds it (touching it) and
+    /// returns `true`; the common first step of every fill.
+    fn update_in_place(
+        &mut self,
+        set: usize,
+        block: BlockAddr,
+        state: LineState,
+        now: u64,
+    ) -> bool {
+        let Some(i) = self.find(set, block) else {
+            return false;
+        };
+        self.sets[set][i].state = state;
+        self.touch(set, i, now);
+        true
+    }
+
+    /// Puts a fresh line for `block` in `way` of `set`, replacing the
+    /// slot at `evict` if given, and touches it. Returns the evicted line.
+    fn place(
+        &mut self,
+        set: usize,
+        block: BlockAddr,
+        state: LineState,
+        now: u64,
+        way: usize,
+        evict: Option<usize>,
+    ) -> Option<Slot> {
+        let fresh = Slot {
             block,
             state,
             touched: now,
-            way: 0,
+            way,
         };
-        if let Some(way) = Self::free_way(set, ways, u64::MAX) {
-            fresh.way = way;
-            set.push(fresh);
-            return None;
-        }
-        let lru = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.touched)
-            .map(|(i, _)| i)
-            .expect("full set is nonempty");
-        let victim = set[lru];
-        fresh.way = victim.way;
-        set[lru] = fresh;
-        Some(victim)
+        let (i, victim) = match evict {
+            Some(i) => (i, Some(std::mem::replace(&mut self.sets[set][i], fresh))),
+            None => {
+                self.sets[set].push(fresh);
+                (self.sets[set].len() - 1, None)
+            }
+        };
+        self.touch(set, i, now);
+        victim
+    }
+
+    /// Fill: the full-mask case of [`NaiveCache::insert_masked`].
+    fn insert(&mut self, block: BlockAddr, state: LineState, now: u64) -> Option<Slot> {
+        self.insert_masked(block, state, now, u64::MAX)
     }
 
     /// Fill under a per-VM way quota — the model's view of the engine's
-    /// masked `insert_in_ways`. Because the per-VM way masks are disjoint
-    /// and every allocation is confined to the inserting VM's mask, a
-    /// mask's ways only ever hold that VM's lines; "evict the LRU way
-    /// inside the mask" is therefore exactly "evict the VM's LRU line in
-    /// the set", and the mask width reduces to a line-count quota.
+    /// masked `insert_in_ways` under *static* partitioning, LRU only.
+    /// Because the per-VM way masks are disjoint and every allocation is
+    /// confined to the inserting VM's mask, a mask's ways only ever hold
+    /// that VM's lines; "evict the LRU way inside the mask" is therefore
+    /// exactly "evict the VM's LRU line in the set", and the mask width
+    /// reduces to a line-count quota.
     fn insert_with_quota(
         &mut self,
         block: BlockAddr,
@@ -185,38 +257,24 @@ impl NaiveCache {
         now: u64,
         quota: usize,
     ) -> Option<Slot> {
-        let idx = self.set_of(block);
-        let set = &mut self.sets[idx];
-        if let Some(slot) = set.iter_mut().find(|s| s.block == block) {
-            slot.state = state;
-            slot.touched = now;
+        debug_assert!(matches!(self.victims, Victims::Lru), "quotas are LRU-only");
+        let set = self.set_of(block);
+        if self.update_in_place(set, block, state, now) {
             return None;
         }
-        let mut fresh = Slot {
-            block,
-            state,
-            touched: now,
-            way: 0,
-        };
         let vm = block.vm();
-        let occupied = set.iter().filter(|s| s.block.vm() == vm).count();
-        if occupied < quota {
-            fresh.way = Self::free_way(set, self.ways, u64::MAX)
+        let lines = &self.sets[set];
+        if lines.iter().filter(|s| s.block.vm() == vm).count() < quota {
+            let way = Self::free_way(lines, self.ways, u64::MAX)
                 .expect("quotas sum to the associativity, so a slot is free");
-            set.push(fresh);
-            return None;
+            return self.place(set, block, state, now, way, None);
         }
-        let lru = set
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.block.vm() == vm)
-            .min_by_key(|(_, s)| s.touched)
-            .map(|(i, _)| i)
+        let lru = (0..lines.len())
+            .filter(|&i| lines[i].block.vm() == vm)
+            .min_by_key(|&i| lines[i].touched)
             .expect("quota ways are nonzero");
-        let victim = set[lru];
-        fresh.way = victim.way;
-        set[lru] = fresh;
-        Some(victim)
+        let way = lines[lru].way;
+        self.place(set, block, state, now, way, Some(lru))
     }
 
     /// Fill confined to the ways in `mask` — the way-exact mirror of the
@@ -226,8 +284,8 @@ impl NaiveCache {
     /// VM's lines linger in ways it lost until the new owner evicts them).
     /// A block present anywhere in the set (even outside the mask) updates
     /// in place; otherwise the lowest allowed free way is taken; otherwise
-    /// the LRU line among the masked ways — whoever it belongs to — is
-    /// evicted.
+    /// the policy's victim among the masked ways — whoever it belongs to —
+    /// is evicted.
     fn insert_masked(
         &mut self,
         block: BlockAddr,
@@ -235,36 +293,56 @@ impl NaiveCache {
         now: u64,
         mask: u64,
     ) -> Option<Slot> {
-        let ways = self.ways;
-        let idx = self.set_of(block);
-        let set = &mut self.sets[idx];
-        if let Some(slot) = set.iter_mut().find(|s| s.block == block) {
-            slot.state = state;
-            slot.touched = now;
+        let set = self.set_of(block);
+        if self.update_in_place(set, block, state, now) {
             return None;
         }
-        let mut fresh = Slot {
-            block,
-            state,
-            touched: now,
-            way: 0,
-        };
-        if let Some(way) = Self::free_way(set, ways, mask) {
-            fresh.way = way;
-            set.push(fresh);
-            return None;
+        if let Some(way) = Self::free_way(&self.sets[set], self.ways, mask) {
+            return self.place(set, block, state, now, way, None);
         }
-        let lru = set
+        let way = self.victim_way(set, mask);
+        let i = self.sets[set]
             .iter()
-            .enumerate()
-            .filter(|(_, s)| mask >> s.way & 1 == 1)
-            .min_by_key(|(_, s)| s.touched)
-            .map(|(i, _)| i)
-            .expect("mask selects an occupied way");
-        let victim = set[lru];
-        fresh.way = victim.way;
-        set[lru] = fresh;
-        Some(victim)
+            .position(|s| s.way == way)
+            .expect("every allowed way holds a line");
+        self.place(set, block, state, now, way, Some(i))
+    }
+
+    /// The way the policy evicts among the ways `mask` allows in `set`,
+    /// every one of which holds a line. LRU takes the oldest stamp; Random
+    /// draws an index into the allowed ways in ascending order; tree-PLRU
+    /// follows its bits from the root but never into a half that holds no
+    /// allowed way.
+    fn victim_way(&mut self, set: usize, mask: u64) -> usize {
+        let allowed: Vec<usize> = (0..self.ways).filter(|&w| mask >> w & 1 == 1).collect();
+        assert!(!allowed.is_empty(), "victim mask allows no way");
+        match &mut self.victims {
+            Victims::Lru => {
+                self.sets[set]
+                    .iter()
+                    .filter(|s| allowed.contains(&s.way))
+                    .min_by_key(|s| s.touched)
+                    .expect("allowed ways are occupied")
+                    .way
+            }
+            Victims::TreePlru(bits) => {
+                // `prefix` holds the way bits chosen so far; below `level`
+                // remain to choose.
+                let (mut node, mut prefix) = (0, 0);
+                for level in (0..self.ways.trailing_zeros()).rev() {
+                    let has = |half| allowed.iter().any(|&w| w >> level == 2 * prefix + half);
+                    let right = if has(0) && has(1) {
+                        bits[set][node]
+                    } else {
+                        !has(0)
+                    };
+                    prefix = 2 * prefix + right as usize;
+                    node = 2 * node + 1 + right as usize;
+                }
+                prefix
+            }
+            Victims::Random(rngs) => allowed[rngs[set].index(allowed.len())],
+        }
     }
 
     /// Invalidate: removes the block if present.
@@ -748,13 +826,13 @@ impl RefModel {
             mesh_width: machine.mesh_width,
             cores_per_bank: machine.cores_per_bank(),
             l0: (0..machine.num_cores)
-                .map(|_| NaiveCache::new(l0_sets, l0_ways))
+                .map(|_| NaiveCache::new(l0_sets, l0_ways, ReplacementPolicy::Lru))
                 .collect(),
             l1: (0..machine.num_cores)
-                .map(|_| NaiveCache::new(l1_sets, l1_ways))
+                .map(|_| NaiveCache::new(l1_sets, l1_ways, ReplacementPolicy::Lru))
                 .collect(),
             llc: (0..machine.llc_banks())
-                .map(|_| NaiveCache::new(llc_sets, llc_ways))
+                .map(|_| NaiveCache::new(llc_sets, llc_ways, ReplacementPolicy::Lru))
                 .collect(),
             directory: NaiveDirectory::default(),
             counters: vec![ModelCounters::default(); num_vms],
@@ -1506,7 +1584,9 @@ impl RefModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consim_types::VmId;
+    use consim_cache::{CacheLine, SetAssocCache};
+    use consim_snap::{SectionBuf, SectionReader, Snapshot};
+    use consim_types::{CacheGeometry, VmId};
 
     fn machine() -> MachineConfig {
         MachineConfig::paper_default()
@@ -1565,7 +1645,7 @@ mod tests {
 
     #[test]
     fn naive_lru_matches_stamp_order() {
-        let mut c = NaiveCache::new(1, 2);
+        let mut c = NaiveCache::new(1, 2, ReplacementPolicy::Lru);
         c.insert(blk(1), LineState::Shared, 1);
         c.insert(blk(2), LineState::Shared, 2);
         c.access(blk(1), 3);
@@ -1576,12 +1656,157 @@ mod tests {
 
     #[test]
     fn probe_does_not_touch() {
-        let mut c = NaiveCache::new(1, 2);
+        let mut c = NaiveCache::new(1, 2, ReplacementPolicy::Lru);
         c.insert(blk(1), LineState::Shared, 1);
         c.insert(blk(2), LineState::Shared, 2);
         assert!(c.probe(blk(1)).is_some());
         let victim = c.insert(blk(3), LineState::Shared, 3).expect("eviction");
         assert_eq!(victim.block, blk(1), "probe must not protect the LRU line");
+    }
+
+    /// One operation of a seeded stream over one cache.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Probe(BlockAddr),
+        Access(BlockAddr),
+        Insert(BlockAddr, LineState),
+        InsertInWays(BlockAddr, LineState, u64),
+        SetState(BlockAddr, LineState),
+        Invalidate(BlockAddr),
+    }
+
+    fn gen_op(rng: &mut SimRng, blocks: u64, ways: usize) -> Op {
+        let block = BlockAddr::new(rng.below(blocks));
+        let state = [LineState::Shared, LineState::Exclusive, LineState::Modified][rng.index(3)];
+        let all = (1u64 << ways) - 1;
+        match rng.index(7) {
+            0 => Op::Probe(block),
+            1 => Op::Access(block),
+            2 => Op::Insert(block, state),
+            3 => Op::InsertInWays(block, state, 1 + rng.below(all)),
+            // The ways split in half by block parity, like two VMs under
+            // way partitioning.
+            4 if ways >= 2 => {
+                let low = (1u64 << (ways / 2)) - 1;
+                let mask = if block.raw().is_multiple_of(2) {
+                    low
+                } else {
+                    all & !low
+                };
+                Op::InsertInWays(block, state, mask)
+            }
+            5 => Op::SetState(block, state),
+            _ => Op::Invalidate(block),
+        }
+    }
+
+    /// Applies `op` to both caches; they must agree on its result (hit
+    /// state, victim, removed line) and on the occupancy after it.
+    fn apply_both(op: Op, real: &mut SetAssocCache, naive: &mut NaiveCache, now: u64, ctx: &str) {
+        let line = |s: Slot| CacheLine::new(s.block, s.state);
+        match op {
+            Op::Probe(b) => assert_eq!(real.probe(b), naive.probe(b), "{ctx}: {op:?}"),
+            Op::Access(b) => assert_eq!(real.access(b), naive.access(b, now), "{ctx}: {op:?}"),
+            Op::Insert(b, s) => assert_eq!(
+                real.insert(b, s),
+                naive.insert(b, s, now).map(line),
+                "{ctx}: victim of {op:?}"
+            ),
+            Op::InsertInWays(b, s, mask) => assert_eq!(
+                real.insert_in_ways(b, s, mask),
+                naive.insert_masked(b, s, now, mask).map(line),
+                "{ctx}: victim of {op:?}"
+            ),
+            Op::SetState(b, s) => {
+                let present = naive.probe(b).is_some();
+                naive.set_state(b, s);
+                assert_eq!(real.set_state(b, s), present, "{ctx}: {op:?}");
+            }
+            Op::Invalidate(b) => {
+                let removed = naive.probe(b).map(|s| CacheLine::new(b, s));
+                naive.invalidate(b);
+                assert_eq!(real.invalidate(b), removed, "{ctx}: {op:?}");
+            }
+        }
+        let occupancy = naive.lines().count();
+        assert_eq!(real.occupancy(), occupancy, "{ctx}: occupancy after {op:?}");
+    }
+
+    /// Runs `steps` operations of a seeded stream through a
+    /// `SetAssocCache` and a `NaiveCache`, then compares their contents way
+    /// by way (`SetAssocCache::lines` walks slots in `(set, way)` order).
+    /// With `restore_at`, the real cache is saved at that step and the
+    /// stream goes on in a fresh cache restored from the save, against the
+    /// uninterrupted model.
+    fn run_stream(
+        policy: ReplacementPolicy,
+        (num_sets, ways): (usize, usize),
+        seed: u64,
+        steps: usize,
+        restore_at: Option<usize>,
+    ) {
+        let geom = CacheGeometry::new(num_sets * ways * 64, ways, 1).unwrap();
+        let mut real = SetAssocCache::new(geom, policy);
+        let mut naive = NaiveCache::new(num_sets, ways, policy);
+        let mut rng = SimRng::from_seed(seed).derive("set-assoc-vs-naive");
+        let blocks = 2 * (num_sets * ways) as u64 + 2;
+        let ctx = format!("{policy:?} {num_sets}x{ways} seed {seed}");
+        for step in 0..steps {
+            if restore_at == Some(step) {
+                let mut buf = SectionBuf::new();
+                real.save(&mut buf);
+                real = SetAssocCache::new(geom, policy);
+                real.restore(&mut SectionReader::new("caches", buf.as_bytes()))
+                    .unwrap();
+            }
+            let op = gen_op(&mut rng, blocks, ways);
+            let now = step as u64 + 1;
+            apply_both(
+                op,
+                &mut real,
+                &mut naive,
+                now,
+                &format!("{ctx} step {step}"),
+            );
+        }
+        let mut slots: Vec<&Slot> = naive.lines().collect();
+        slots.sort_by_key(|s| (naive.set_of(s.block), s.way));
+        let expected: Vec<CacheLine> = slots
+            .iter()
+            .map(|s| CacheLine::new(s.block, s.state))
+            .collect();
+        let contents: Vec<CacheLine> = real.lines().collect();
+        assert_eq!(contents, expected, "{ctx}: final contents");
+    }
+
+    /// The naive model is the reference for `SetAssocCache` under every
+    /// replacement policy: the same seeded streams of probes, hits, fills,
+    /// masked fills (random masks and half splits), state changes and
+    /// invalidations must give the same results, victims, occupancy and
+    /// final contents. Four fixed geometries each take one save/restore
+    /// of the real cache mid-stream; 64 random geometries per policy cover
+    /// 1–8 ways (powers of two for tree-PLRU) over 1–9 sets.
+    #[test]
+    fn set_assoc_cache_matches_naive_cache_under_every_policy() {
+        let policies = [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::TreePlru,
+            ReplacementPolicy::Random,
+        ];
+        for (p, policy) in policies.into_iter().enumerate() {
+            for (shape, seed) in [((8, 4), 11), ((4, 2), 12), ((16, 8), 13), ((1, 4), 14)] {
+                run_stream(policy, shape, seed, 4_000, Some(2_000));
+            }
+            let mut rng = SimRng::from_seed(p as u64).derive("geometries");
+            for case in 0..64 {
+                let ways = match policy {
+                    ReplacementPolicy::TreePlru => 1 << rng.index(4),
+                    _ => 1 + rng.index(8),
+                };
+                let sets = 1 + rng.index(9);
+                run_stream(policy, (sets, ways), 100 + case, 600, None);
+            }
+        }
     }
 
     #[test]

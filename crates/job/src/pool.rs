@@ -603,6 +603,49 @@ mod tests {
             .all(|r| matches!(r, Ok(JobOutput::Completed { .. }))));
     }
 
+    /// The crash-recovery contract with jobs in flight: the fault stops
+    /// admission, but a resident job that finishes after the trip still
+    /// journals, so every simulated job has a record.
+    #[test]
+    fn jobs_in_flight_at_a_fault_finish_and_journal() {
+        let scratch = ScratchDir::new("inflight");
+        let journal = JobJournal::open(&scratch.0).unwrap();
+        let queue = Arc::new(LiveQueue::new());
+        for seed in 0..3 {
+            queue.push(0, short_config(seed, 400, 0, false)).unwrap();
+        }
+        queue.close();
+        let sink = Arc::new(CollectingSink::new());
+        let pool = WorkerPool::start(
+            PoolConfig {
+                workers: 1,
+                time_slice: Some(100),
+                max_live: 2,
+                fault_after: Some(1),
+                ..PoolConfig::default()
+            },
+            Arc::clone(&queue) as Arc<dyn JobQueue>,
+            Arc::clone(&sink) as Arc<dyn ResultSink>,
+            Some(journal.clone()),
+            None,
+        );
+        let report = pool.join();
+        assert!(report.faulted);
+        assert_eq!(
+            report.simulated, 2,
+            "the tripping job and the one in flight"
+        );
+        assert_eq!(
+            journal.completed().unwrap().len() as u64,
+            report.simulated,
+            "every simulated job is journaled"
+        );
+        assert!(matches!(
+            sink.take().remove(&2),
+            Some(Ok(JobOutput::Abandoned))
+        ));
+    }
+
     fn short_config(seed: u64, refs: u64, warmup: u64, prewarm: bool) -> SimulationConfig {
         let mut cfg = config(seed);
         cfg.refs_per_vm = refs;

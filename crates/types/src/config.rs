@@ -467,17 +467,24 @@ pub struct CacheGeometry {
 
 impl CacheGeometry {
     /// Creates a geometry, validating that the capacity is a whole number of
-    /// sets of 64 B lines.
+    /// sets of 64 B lines and that a set has at most 64 ways (caches keep
+    /// way masks in a `u64`).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if `total_bytes` is not a multiple
-    /// of `associativity * 64`, or if any parameter is zero.
+    /// of `associativity * 64`, if the associativity exceeds 64, or if the
+    /// size or associativity is zero.
     pub fn new(total_bytes: usize, associativity: usize, latency: u64) -> Result<Self, SimError> {
         if total_bytes == 0 || associativity == 0 {
             return Err(SimError::invalid_config(
                 "cache size and associativity must be nonzero",
             ));
+        }
+        if associativity > 64 {
+            return Err(SimError::invalid_config(format!(
+                "caches support at most 64 ways, got {associativity}"
+            )));
         }
         let set_bytes = associativity * CACHE_LINE_BYTES;
         if !total_bytes.is_multiple_of(set_bytes) {
@@ -810,6 +817,7 @@ impl MachineConfigBuilder {
     /// * the mesh width does not divide the core count;
     /// * the sharing degree does not divide the core count;
     /// * the LLC cannot be split into equal banks of whole sets;
+    /// * a cache level has more than 64 ways;
     /// * any count is zero.
     pub fn build(&self) -> Result<MachineConfig, SimError> {
         if self.num_cores == 0 {
@@ -835,7 +843,8 @@ impl MachineConfigBuilder {
                 self.llc.total_bytes
             )));
         }
-        // Validate that each bank is a whole number of sets.
+        // Validate that each bank is a whole number of sets of at most 64
+        // ways (this also bounds every way mask the partitioning builds).
         self.llc.with_total_bytes(self.llc.total_bytes / banks)?;
         // Re-validate the per-level geometries (caller may have constructed
         // them directly with struct syntax through a config copy).
@@ -850,30 +859,14 @@ impl MachineConfigBuilder {
         // checked here; the per-VM checks (entry count vs VMs, equal split
         // feasibility) re-run in `SimulationConfigBuilder::build`.
         match &self.llc_partitioning {
-            LlcPartitioning::None => {}
-            LlcPartitioning::EqualWays => {
-                if self.llc.associativity > 64 {
-                    return Err(SimError::invalid_config(format!(
-                        "way partitioning supports at most 64-way LLCs, got {}",
-                        self.llc.associativity
-                    )));
-                }
-            }
+            LlcPartitioning::None | LlcPartitioning::EqualWays => {}
             LlcPartitioning::ExplicitWays(ways) => {
                 // Validating with num_vms = len checks mask width, nonzero
                 // entries, and the sum-to-associativity invariant.
                 self.llc_partitioning
                     .way_masks(self.llc.associativity, ways.len())?;
             }
-            LlcPartitioning::Dynamic(p) => {
-                if self.llc.associativity > 64 {
-                    return Err(SimError::invalid_config(format!(
-                        "way partitioning supports at most 64-way LLCs, got {}",
-                        self.llc.associativity
-                    )));
-                }
-                p.validate()?;
-            }
+            LlcPartitioning::Dynamic(p) => p.validate()?,
         }
         // The directory cache is 8-way set-associative; a capacity that is
         // not a whole number of sets would otherwise only be rejected much
@@ -1032,6 +1025,25 @@ mod tests {
         let g = CacheGeometry::new(8 * 1024, 2, 1).unwrap();
         assert_eq!(g.num_lines(), 128);
         assert_eq!(g.num_sets(), 64);
+    }
+
+    /// Caches keep way masks in a `u64`, so a set has at most 64 ways; the
+    /// geometry is the one place that says so, and the machine builder
+    /// re-validates the LLC through it whatever the partitioning.
+    #[test]
+    fn geometry_allows_at_most_64_ways() {
+        for ways in [0, 65, 128] {
+            let err = CacheGeometry::new(ways.max(1) * 64, ways, 1).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{ways}: {err}");
+        }
+        assert_eq!(CacheGeometry::new(64 * 64, 64, 1).unwrap().num_sets(), 1);
+        let llc = CacheGeometry {
+            total_bytes: 16 * 1024 * 1024,
+            associativity: 128,
+            latency: 6,
+        };
+        let err = MachineConfigBuilder::new().llc(llc).build().unwrap_err();
+        assert!(err.to_string().contains("at most 64 ways"), "{err}");
     }
 
     #[test]
