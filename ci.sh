@@ -116,32 +116,27 @@ if grep -q "restarts=0" "$smoke_dir/stress-crash.txt"; then
 fi
 cmp "$smoke_dir/ref.ledger" "$smoke_dir/crash.ledger"
 
-echo "== perf smoke (non-gating, short throughput probe) =="
-# A short serial probe compared against the committed BENCH_engine.json
-# baseline. Informational only: wall-clock noise (shared CI boxes, thermal
-# state) is far above any gate we could set, so a regression here prompts
-# alternating parent/change `python3 perfbench/run.py --workload
-# engine-shapes` pairs by hand (DESIGN.md §10, "Measurement protocol").
-if [ ! -s BENCH_engine.json ]; then
-  echo "perf smoke: SKIPPED — no committed BENCH_engine.json baseline" \
-    "(regenerate with \`cargo run --release -p consim-bench --bin throughput\`)"
+echo "== perf smoke (non-gating, short engine-shapes run) =="
+# A short perfbench engine-shapes run compared with the change-side median
+# committed in BENCH_engine-shapes.json. Informational only: wall-clock
+# noise (shared CI boxes, thermal state) is far above any gate we could
+# set, so a regression here prompts alternating parent/change
+# `python3 perfbench/run.py --workload engine-shapes` pairs by hand
+# (DESIGN.md §10, "Measurement protocol").
+if [ ! -s BENCH_engine-shapes.json ]; then
+  echo "perf smoke: SKIPPED — no committed BENCH_engine-shapes.json"
 else
-  base=$(sed -n 's/.*"serial_refs_per_sec": \([0-9]*\).*/\1/p' BENCH_engine.json)
-  if [ -z "$base" ] || [ "$base" -le 0 ]; then
-    echo "perf smoke: SKIPPED — BENCH_engine.json has no parsable" \
-      "serial_refs_per_sec field (re-bless the baseline)"
-  else
-    CONSIM_REFS=20000 CONSIM_WARMUP=5000 CONSIM_SEEDS=2 CONSIM_THREADS=1 \
-      cargo run --release -q -p consim-bench --bin throughput -- \
-      --json "$smoke_dir/bench.json" || echo "perf smoke failed (non-gating)"
-    probe=$(sed -n 's/.*"serial_refs_per_sec": \([0-9]*\).*/\1/p' "$smoke_dir/bench.json" 2>/dev/null)
-    if [ -n "$probe" ]; then
-      echo "perf smoke: probe ${probe} refs/sec vs committed baseline ${base} refs/sec" \
-        "($(( 100 * probe / base ))% of baseline; informational)"
-    else
-      echo "perf smoke: probe produced no parsable output (non-gating)"
-    fi
-  fi
+  probe=$(python3 perfbench/run.py --workload engine-shapes --seed 1 --seconds 10 \
+    --trace 0 2> /dev/null | tail -n 1) || echo "perf smoke failed (non-gating)"
+  python3 - "$probe" 2> /dev/null <<'PY' ||
+import json, sys
+probe = json.loads(sys.argv[1])
+base = json.load(open("BENCH_engine-shapes.json"))["change"]["refs_per_s"]["median"]
+rate = probe["metrics"]["refs_per_s"]["value"]
+print(f"perf smoke: correct={str(probe['correct']).lower()} refs_per_s={rate:.3g}"
+      f" vs committed change-side median {base:.3g} ({rate / base:.2f}x; informational)")
+PY
+    echo "perf smoke: probe produced no parsable output (non-gating)"
 fi
 
 echo "CI OK"

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulator substrates: cache lookups, contended
-//! NoC sends, directory transitions, workload generation, and full-engine
-//! reference throughput.
+//! NoC sends, directory transitions, workload generation, and whole-engine
+//! references per second.
 //!
 //! Self-contained timing harness (no external benchmarking crate): each
 //! benchmark warms up briefly, then runs a fixed number of timed batches and

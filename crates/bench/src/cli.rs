@@ -1,7 +1,7 @@
 //! Shared `--audit` / `--trace <dir>` plumbing for the helper binaries.
 //!
-//! Every bin that runs experiments (`run_all`, `sweep`, `throughput`)
-//! accepts the same two observability flags:
+//! Every bin that runs experiments (`run_all`, `sweep`) accepts the same
+//! two observability flags:
 //!
 //! * `--audit` — enable the end-of-run counter audit on every simulation
 //!   (release builds only; debug builds always audit);

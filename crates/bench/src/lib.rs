@@ -43,8 +43,7 @@
 //! (dependency-free timing micro-benchmarks of the substrates). Helper
 //! binaries: `run_all` (every exhibit), `calibrate` (Table II calibration
 //! check), `sweep` (profile-knob search, one parallel batch per workload),
-//! `diagnose` (latency-composition debugging), `throughput` (engine
-//! refs/sec smoke probe).
+//! and `diagnose` (latency-composition debugging).
 
 pub mod cli;
 pub mod context;

@@ -34,32 +34,33 @@
 //!    slowest acknowledgement.
 //! 4. Fills may evict: dirty L1 victims write back into the local LLC bank;
 //!    dirty LLC victims write back to memory.
+//!
+//! ## Module layout
+//!
+//! This file holds the configuration, the event loop with its one boundary
+//! handler, and the access path. `engine/checkpoint.rs` holds checkpoint
+//! and resume; `engine/lifecycle.rs` holds the churn boundary and the VM
+//! spawn, retire and migrate actions.
 
-use crate::churn::{epoch_draws, ChurnAction, ChurnDecision, ChurnState, ChurnStats};
+mod checkpoint;
+mod lifecycle;
+
+use crate::churn::{ChurnState, ChurnStats};
 use crate::hierarchy::HierarchyCtx;
 use crate::machine::Layout;
 use crate::metrics::{OccupancySnapshot, ReplicationSnapshot, VmMetrics};
 use crate::observe::{AccessStep, StepObserver, StepOutcome};
 use crate::qos::QosController;
-use crate::snapshot;
 use consim_cache::{LineState, ReplacementPolicy, SetAssocCache};
 use consim_coherence::{AccessKind, Directory, DirectoryCache, ProtocolStats};
 use consim_noc::{ContentionModel, NocStats, ReservationCalendar};
 use consim_sched::{place, Placement, SchedulingPolicy};
-use consim_snap::{
-    restore_items, save_items, SectionBuf, SectionReader, SnapReader, SnapWriter, Snapshot,
-    CHECKPOINT_VERSION,
-};
 use consim_trace::{EventClass, TraceEvent, TraceSink};
 use consim_types::config::{LlcPartitioning, MachineConfig};
-use consim_types::{
-    Address, BankId, BlockAddr, CoreId, Cycle, GlobalThreadId, SimError, SimRng, SnapshotErrorKind,
-    ThreadId, VmId,
-};
+use consim_types::{BankId, BlockAddr, CoreId, Cycle, GlobalThreadId, SimError, SimRng, VmId};
 use consim_workload::{MemRef, WorkloadGenerator, WorkloadProfile};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// How a simulation reports trace events.
@@ -429,6 +430,10 @@ struct RefBatch {
 /// The event loop's mutable position within a run. Everything here is
 /// serialized verbatim into checkpoints, so a resumed run re-enters the loop
 /// with bit-identical state.
+///
+/// Every mid-run boundary is a cycle stamp here, set when the phase starts
+/// and `u64::MAX` while its mechanism is off; the loop compares each event
+/// against the earliest of them ([`RunState::next_boundary`]).
 #[derive(Debug)]
 struct RunState {
     phase: PhaseKind,
@@ -446,9 +451,11 @@ struct RunState {
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Completion cycle of the latest quota-meeting reference.
     last_completion: Cycle,
-    /// Next dynamic-rescheduling boundary, if enabled.
-    next_resched: Option<u64>,
-    /// Next epoch-snapshot boundary (`u64::MAX` when epoch tracing is off).
+    /// Next dynamic-rescheduling boundary (`u64::MAX` when
+    /// `reschedule_every` is off; both phases reschedule).
+    next_resched: u64,
+    /// Next epoch-snapshot boundary (`u64::MAX` outside the measurement
+    /// phase or when no trace sink is attached).
     next_epoch: u64,
     /// Next dynamic-QoS repartition boundary (`u64::MAX` outside the
     /// measurement phase or when the machine is not
@@ -459,6 +466,17 @@ struct RunState {
     next_churn: u64,
     /// Measurement finished; only [`Simulation::finish`] remains.
     done: bool,
+}
+
+impl RunState {
+    /// The earliest boundary stamp. Not checkpointed: the loop keeps it in
+    /// a local and recomputes it after every boundary.
+    fn next_boundary(&self) -> u64 {
+        self.next_epoch
+            .min(self.next_repart)
+            .min(self.next_churn)
+            .min(self.next_resched)
+    }
 }
 
 /// One experimental run of the consolidation machine.
@@ -701,35 +719,8 @@ impl Simulation {
                 PhaseKind::Warmup => (self.config.warmup_refs_per_vm, false),
                 PhaseKind::Measure => (self.config.refs_per_vm, true),
             };
-            // Epoch snapshots and QoS repartitioning only apply to the
-            // measurement phase. The loop is monomorphized over whether
-            // either is on: even a never-taken branch whose body calls
-            // through a trace-sink vtable pessimizes the hot loop's code
-            // generation by ~20%, so the plain instantiation must contain
-            // no boundary code at all.
-            let epoch_trace = self.epoch_trace_for(phase);
-            let qos_active = phase == PhaseKind::Measure && self.qos.is_some();
-            let churn_active = phase == PhaseKind::Measure && self.churn.is_some();
             let mut st = self.run_state.take().expect("run started above");
-            let result = if epoch_trace.is_some() || qos_active || churn_active {
-                self.phase_loop::<true>(
-                    &mut st,
-                    quota,
-                    measuring,
-                    epoch_trace,
-                    &mut budget,
-                    &mut observer,
-                )
-            } else {
-                self.phase_loop::<false>(
-                    &mut st,
-                    quota,
-                    measuring,
-                    None,
-                    &mut budget,
-                    &mut observer,
-                )
-            };
+            let result = self.phase_loop(&mut st, quota, measuring, &mut budget, &mut observer);
             self.run_state = Some(st);
             result?;
             let st = self.run_state.as_mut().expect("restored above");
@@ -881,10 +872,10 @@ impl Simulation {
                 heap.push(Reverse((start.raw(), core)));
             }
         }
-        let epoch_interval = self
-            .epoch_trace_for(phase)
-            .map(|t| t.epoch_cycles.max(1))
-            .unwrap_or(u64::MAX);
+        let epoch_interval = match (&self.config.trace, phase) {
+            (Some(trace), PhaseKind::Measure) => trace.epoch_cycles.max(1),
+            _ => u64::MAX,
+        };
         let repart_interval = match (&self.qos, phase) {
             (Some(qos), PhaseKind::Measure) => qos.interval(),
             _ => u64::MAX,
@@ -911,10 +902,9 @@ impl Simulation {
             remaining,
             heap,
             last_completion: start,
-            next_resched: self
-                .config
-                .reschedule_every
-                .map(|interval| start.raw() + interval),
+            next_resched: start
+                .raw()
+                .saturating_add(self.config.reschedule_every.unwrap_or(u64::MAX)),
             next_epoch: start.raw().saturating_add(epoch_interval),
             next_repart: start.raw().saturating_add(repart_interval),
             next_churn: start.raw().saturating_add(churn_interval),
@@ -922,44 +912,24 @@ impl Simulation {
         }
     }
 
-    /// The trace configuration for epoch snapshots, when the given phase
-    /// should emit them.
-    fn epoch_trace_for(&self, phase: PhaseKind) -> Option<TraceConfig> {
-        self.config
-            .trace
-            .clone()
-            .filter(|t| phase == PhaseKind::Measure && t.sink.wants(EventClass::Epoch))
-    }
-
     /// The event loop of one phase: every VM issues `quota` references;
     /// cores of finished VMs keep running so the machine stays at capacity
     /// (the paper restarts finished workloads). Consumes up to `budget`
     /// references, leaving the phase resumable in `st` when the budget runs
-    /// out first. `EPOCHS` compiles the boundary checks (epoch snapshots
-    /// and QoS repartitioning) in or out; `epoch_trace` may only be `Some`
-    /// under `EPOCHS` (a QoS-only run passes `EPOCHS = true` with no
-    /// trace — its `next_epoch` is `u64::MAX`, so the snapshot branch
-    /// never fires).
-    fn phase_loop<const EPOCHS: bool>(
+    /// out first. Each event costs one boundary comparison, against the
+    /// earliest stamp; everything past it runs in [`Simulation::boundary`].
+    fn phase_loop(
         &mut self,
         st: &mut RunState,
         quota: u64,
         measuring: bool,
-        epoch_trace: Option<TraceConfig>,
         budget: &mut u64,
         observer: &mut Option<&mut dyn StepObserver>,
     ) -> Result<(), SimError> {
         let mean_gap = self.config.machine.instructions_per_memory_op;
         let track_footprint = self.config.track_footprint;
-        let epoch_interval = if EPOCHS {
-            epoch_trace
-                .as_ref()
-                .map(|t| t.epoch_cycles.max(1))
-                .unwrap_or(u64::MAX)
-        } else {
-            u64::MAX
-        };
         let mut budget_left = *budget;
+        let mut next_boundary = st.next_boundary();
         // The carry slot: when the reference just issued completes before
         // every pending event, its (ready-cycle, core) pair never enters the
         // heap — the next iteration consumes it directly. Pop order is
@@ -984,51 +954,16 @@ impl Simulation {
                     }
                 },
             };
-            if EPOCHS && now >= st.next_epoch {
-                st.next_epoch = self.epoch_boundary(
-                    &epoch_trace,
-                    now,
-                    st.start.raw(),
-                    st.next_epoch,
-                    epoch_interval,
-                );
-            }
-            if EPOCHS && now >= st.next_repart {
-                st.next_repart = self.repartition_boundary(now, st.next_repart, observer);
-            }
-            if EPOCHS && now >= st.next_churn {
-                // The boundary may retire this very core: push the popped
-                // event back so the churn handler sees (and can remap or
-                // drop) every pending event, then re-pop without consuming
-                // budget — no reference was issued.
-                st.heap.push(Reverse((now, core)));
-                self.churn_boundary(now, st, observer);
-                if st.remaining == 0 {
-                    break Ok(());
-                }
-                continue;
-            }
-            if let (Some(at), Some(interval)) = (st.next_resched, self.config.reschedule_every) {
-                if now >= at {
-                    let occupied_before: Vec<bool> =
-                        self.core_thread.iter().map(Option::is_some).collect();
-                    self.reschedule();
-                    st.next_resched = Some(at + interval);
-                    if self
-                        .core_thread
-                        .iter()
-                        .map(Option::is_some)
-                        .ne(occupied_before.iter().copied())
-                    {
-                        // The set of occupied cores changed (possible under
-                        // Random placement): pending events on vacated cores
-                        // would orphan their issue slots and newly occupied
-                        // cores would starve. Remap, then re-pop (without
-                        // consuming budget — no reference was issued).
-                        st.heap.push(Reverse((now, core)));
-                        remap_core_events(&mut st.heap, &occupied_before, &self.core_thread);
-                        continue;
+            if now >= next_boundary {
+                let pushed_back = self.boundary(now, core, st, observer);
+                next_boundary = st.next_boundary();
+                if pushed_back {
+                    // Re-pop without consuming budget: no reference was
+                    // issued.
+                    if st.remaining == 0 {
+                        break Ok(());
                     }
+                    continue;
                 }
             }
             let thread = self.core_thread[core].expect("scheduled cores have threads");
@@ -1077,35 +1012,60 @@ impl Simulation {
         result
     }
 
-    /// Handles one epoch boundary: advances `next_epoch` past `now` and
-    /// emits the snapshot events. Kept out of line so the event loop only
-    /// pays one comparison per event — inlining this body into `phase`
-    /// measurably pessimizes the hot loop's code generation.
+    /// Handles every boundary due at `now`, in a fixed order: epoch
+    /// snapshot, QoS repartition, churn, rescheduling. Returns whether the
+    /// popped event `(now, core)` went back into the heap, so the loop must
+    /// re-pop: churn always pushes it back, and a reschedule does when it
+    /// changed the set of occupied cores. Kept out of line and cold so the
+    /// event loop pays one comparison per event and its code generation
+    /// stays that of a loop with no boundary code.
     #[cold]
     #[inline(never)]
-    fn epoch_boundary(
-        &self,
-        trace: &Option<TraceConfig>,
+    fn boundary(
+        &mut self,
         now: u64,
-        measure_start: u64,
-        mut next_epoch: u64,
-        interval: u64,
-    ) -> u64 {
-        while now >= next_epoch {
-            next_epoch = next_epoch.saturating_add(interval);
+        core: usize,
+        st: &mut RunState,
+        observer: &mut Option<&mut dyn StepObserver>,
+    ) -> bool {
+        if now >= st.next_epoch {
+            self.epoch_boundary(now, st);
         }
-        let trace = trace.as_ref().expect("epoch trace enabled");
-        self.emit_epoch_snapshot(trace.sink.as_ref(), now, measure_start);
-        next_epoch
+        if now >= st.next_repart {
+            st.next_repart = self.repartition_boundary(now, st.next_repart, observer);
+        }
+        if now >= st.next_churn {
+            // The boundary may retire this very core: push the popped event
+            // back so the churn handler sees (and can remap or drop) every
+            // pending event.
+            st.heap.push(Reverse((now, core)));
+            self.churn_boundary(now, st, observer);
+            return true;
+        }
+        now >= st.next_resched && self.resched_boundary(now, core, st)
+    }
+
+    /// Handles one epoch boundary: advances `next_epoch` past `now` (one
+    /// snapshot per crossing) and emits the snapshot events if the sink
+    /// wants [`EventClass::Epoch`] now, so a subscriber that arrives or
+    /// leaves mid-run takes effect at the next boundary. With no sink (a
+    /// resumed run before [`Simulation::set_trace`]) the stamp moves to
+    /// `u64::MAX`.
+    fn epoch_boundary(&self, now: u64, st: &mut RunState) {
+        let trace = self.config.trace.as_ref();
+        let interval = trace.map_or(u64::MAX, |t| t.epoch_cycles.max(1));
+        while now >= st.next_epoch {
+            st.next_epoch = st.next_epoch.saturating_add(interval);
+        }
+        if let Some(trace) = trace.filter(|t| t.sink.wants(EventClass::Epoch)) {
+            self.emit_epoch_snapshot(trace.sink.as_ref(), now, st.start.raw());
+        }
     }
 
     /// Handles one dynamic-QoS repartition boundary: advances `next_repart`
     /// past `now` (one decision per crossing, even if the event gap spanned
     /// several intervals), gathers the controller inputs, runs the decision,
-    /// and swaps the live way masks when it moved ways. Out of line and cold
-    /// for the same reason as [`Simulation::epoch_boundary`].
-    #[cold]
-    #[inline(never)]
+    /// and swaps the live way masks when it moved ways.
     fn repartition_boundary(
         &mut self,
         now: u64,
@@ -1163,291 +1123,31 @@ impl Simulation {
         next_repart
     }
 
-    /// Handles one VM-churn boundary: advances `next_churn` past `now` (one
-    /// decision per crossing, even if the event gap spanned several
-    /// intervals), transcribes the epoch's unconditional draws, then decides
-    /// and applies at most one lifecycle action per VM in id order. Out of
-    /// line and cold for the same reason as [`Simulation::epoch_boundary`]:
-    /// a churn-free run must pay nothing but the `next_churn` comparison.
-    ///
-    /// The caller has pushed its popped event back into the heap, so every
-    /// pending issue event is visible here for retirement filtering and
-    /// migration remapping.
-    #[cold]
-    #[inline(never)]
-    fn churn_boundary(
-        &mut self,
-        now: u64,
-        st: &mut RunState,
-        observer: &mut Option<&mut dyn StepObserver>,
-    ) {
-        let mut churn = self
-            .churn
-            .take()
-            .expect("churn boundary without churn state");
-        let interval = churn.interval();
-        while now >= st.next_churn {
-            st.next_churn = st.next_churn.saturating_add(interval);
+    /// Handles one rescheduling boundary: re-places the threads and moves
+    /// `next_resched` on by exactly one interval, so an event gap that
+    /// spans several intervals fires it on successive events. When the set
+    /// of occupied cores changed (possible under Random placement), pushes
+    /// the popped event back, re-homes pending events onto the newly
+    /// occupied cores, and returns `true`.
+    fn resched_boundary(&mut self, now: u64, core: usize, st: &mut RunState) -> bool {
+        let interval = self
+            .config
+            .reschedule_every
+            .expect("rescheduling boundary without an interval");
+        let occupied_before = self.occupied_cores();
+        self.reschedule();
+        st.next_resched = st.next_resched.saturating_add(interval);
+        if self.occupied_cores() == occupied_before {
+            return false;
         }
-        let num_vms = self.config.workloads.len();
-        let epoch = churn.next_epoch();
-        let draws = epoch_draws(self.config.seed, epoch, num_vms);
-        let mut actions = Vec::new();
-        for (vm, &(d1, d2)) in draws.iter().enumerate() {
-            let threads = self.config.workloads[vm].threads;
-            if !churn.is_active(vm) {
-                // Birth: arrive iff the draw clears the rate and the machine
-                // has room right now; otherwise the VM waits for the next
-                // boundary's draw.
-                if d1 < churn.policy().arrival_permille[vm] {
-                    let free = self.free_cores(None);
-                    if free.len() >= threads {
-                        let cores = free[..threads].to_vec();
-                        self.spawn_vm(vm, &cores, &mut churn, now, st);
-                        actions.push(ChurnAction::Spawn { vm, cores });
-                    }
-                }
-                continue;
-            }
-            // Death: departures below the population floor are skipped, not
-            // deferred — the draw is consumed either way.
-            if d1 < churn.policy().departure_permille[vm]
-                && churn.active_count() > churn.policy().min_active
-            {
-                let (cores, l0, l1, writebacks) = self.retire_vm(vm, now, st);
-                churn.set_active(vm, false);
-                let stats = churn.stats_mut();
-                stats.retires += 1;
-                stats.l0_lines_invalidated += l0;
-                stats.l1_lines_invalidated += l1;
-                stats.writebacks += writebacks.len() as u64;
-                actions.push(ChurnAction::Retire {
-                    vm,
-                    cores,
-                    invalidated_l0: l0,
-                    invalidated_l1: l1,
-                    writebacks,
-                });
-                continue;
-            }
-            // Live migration: needs a disjoint set of free (target) cores.
-            if d2 < churn.policy().migration_permille {
-                let free = self.free_cores(churn.policy().migration_targets.as_deref());
-                if free.len() >= threads {
-                    let to = free[..threads].to_vec();
-                    let (from, l0, l1, writebacks) = self.migrate_vm(vm, &to, st);
-                    let stats = churn.stats_mut();
-                    stats.migrations += 1;
-                    stats.l0_lines_invalidated += l0;
-                    stats.l1_lines_invalidated += l1;
-                    stats.writebacks += writebacks.len() as u64;
-                    actions.push(ChurnAction::Migrate {
-                        vm,
-                        from,
-                        to,
-                        invalidated_l0: l0,
-                        invalidated_l1: l1,
-                        writebacks,
-                    });
-                }
-            }
-        }
-        let decision = ChurnDecision {
-            epoch,
-            at: now,
-            draws,
-            actions,
-            active_after: churn.active().to_vec(),
-        };
-        if let Some(trace) = &self.config.trace {
-            if trace.sink.wants(EventClass::Lifecycle) {
-                for action in &decision.actions {
-                    trace.sink.record(&churn_trace_event(now, action));
-                }
-            }
-        }
-        // Every boundary — actions or not — reaches the observer so an
-        // external lifecycle mirror advances its draw stream in lockstep.
-        if let Some(obs) = observer.as_deref_mut() {
-            obs.on_churn(&decision);
-        }
-        self.churn = Some(churn);
+        st.heap.push(Reverse((now, core)));
+        remap_core_events(&mut st.heap, &occupied_before, &self.core_thread);
+        true
     }
 
-    /// Free cores in ascending order, optionally intersected with a
-    /// migration-target allowlist.
-    fn free_cores(&self, targets: Option<&[usize]>) -> Vec<usize> {
-        (0..self.config.machine.num_cores)
-            .filter(|&core| self.core_thread[core].is_none())
-            .filter(|&core| targets.is_none_or(|t| t.contains(&core)))
-            .collect()
-    }
-
-    /// Binds an arriving VM to `cores` (thread `t` on `cores[t]`), restarts
-    /// its generator on the arrival's derived stream, and seeds its issue
-    /// events at `now`. The VM generates load from here on but never joins
-    /// the quota race (its `vm_done` flag stays wherever it is).
-    fn spawn_vm(
-        &mut self,
-        vm: usize,
-        cores: &[usize],
-        churn: &mut ChurnState,
-        now: u64,
-        st: &mut RunState,
-    ) {
-        churn.set_active(vm, true);
-        churn.stats_mut().spawns += 1;
-        let arrival = churn.next_arrival(vm);
-        let root = SimRng::from_seed(self.config.seed);
-        self.generators[vm].respawn(&root, arrival);
-        let base = self.thread_base[vm];
-        for t in 0..cores.len() {
-            let batch = &mut self.batches[base + t];
-            batch.refs.clear();
-            batch.cursor = 0;
-        }
-        for (t, &core) in cores.iter().enumerate() {
-            let thread = GlobalThreadId::new(VmId::new(vm), ThreadId::new(t));
-            self.core_thread[core] = Some(thread);
-            self.placement.rebind(thread, CoreId::new(core));
-            st.heap.push(Reverse((now, core)));
-        }
-    }
-
-    /// Retires an active VM: scrubs its private caches, releases its cores,
-    /// drops its pending issue events, and — if it had not met its quota —
-    /// completes it at the boundary (a departed VM has issued all the
-    /// references it ever will).
-    ///
-    /// Returns (released cores ascending, L0 invalidations, L1
-    /// invalidations, content-only writebacks in scrub order).
-    fn retire_vm(
-        &mut self,
-        vm: usize,
-        now: u64,
-        st: &mut RunState,
-    ) -> (Vec<usize>, u64, u64, Vec<(BankId, BlockAddr)>) {
-        let cores = self.cores_of_vm(vm);
-        let (l0, l1, writebacks) = self.scrub_private_caches(vm, &cores);
-        for &core in &cores {
-            self.core_thread[core] = None;
-        }
-        let kept: Vec<(u64, usize)> = st
-            .heap
-            .drain()
-            .map(|Reverse(event)| event)
-            .filter(|&(_, core)| !cores.contains(&core))
-            .collect();
-        st.heap.extend(kept.into_iter().map(Reverse));
-        if !st.vm_done[vm] {
-            st.vm_done[vm] = true;
-            st.remaining -= 1;
-            let at = Cycle::new(now);
-            st.last_completion = st.last_completion.max(at);
-            if st.phase == PhaseKind::Measure {
-                self.metrics[vm].completion = Some(at);
-            }
-        }
-        (cores, l0, l1, writebacks)
-    }
-
-    /// Live-migrates an active VM onto `to`: scrubs and releases the old
-    /// cores, rebinds thread `t` to `to[t]`, and remaps the VM's pending
-    /// issue events (earliest ready-times onto the lowest new cores, so
-    /// deterministic regardless of heap iteration order).
-    ///
-    /// Returns (vacated cores ascending, L0 invalidations, L1
-    /// invalidations, content-only writebacks in scrub order).
-    fn migrate_vm(
-        &mut self,
-        vm: usize,
-        to: &[usize],
-        st: &mut RunState,
-    ) -> (Vec<usize>, u64, u64, Vec<(BankId, BlockAddr)>) {
-        let from = self.cores_of_vm(vm);
-        let (l0, l1, writebacks) = self.scrub_private_caches(vm, &from);
-        for &core in &from {
-            self.core_thread[core] = None;
-        }
-        for (t, &core) in to.iter().enumerate() {
-            let thread = GlobalThreadId::new(VmId::new(vm), ThreadId::new(t));
-            self.core_thread[core] = Some(thread);
-            self.placement.rebind(thread, CoreId::new(core));
-        }
-        let mut kept: Vec<(u64, usize)> = Vec::with_capacity(st.heap.len());
-        let mut moved: Vec<u64> = Vec::with_capacity(from.len());
-        for Reverse((time, core)) in st.heap.drain() {
-            if from.contains(&core) {
-                moved.push(time);
-            } else {
-                kept.push((time, core));
-            }
-        }
-        moved.sort_unstable();
-        st.heap.extend(kept.into_iter().map(Reverse));
-        st.heap
-            .extend(moved.into_iter().zip(to.iter().copied()).map(Reverse));
-        (from, l0, l1, writebacks)
-    }
-
-    /// Cores currently bound to `vm`'s threads, ascending.
-    fn cores_of_vm(&self, vm: usize) -> Vec<usize> {
-        (0..self.config.machine.num_cores)
-            .filter(|&core| self.core_thread[core].is_some_and(|thread| thread.vm.index() == vm))
-            .collect()
-    }
-
-    /// The churn scrub (PR-7 no-flush rule applied to private caches): for
-    /// each core ascending, every L1 line — blocks ascending, the canonical
-    /// order the differential oracle reproduces — is invalidated with a
-    /// directory eviction hint; dirty lines are first written back
-    /// *content-only* into the core's local LLC bank (untimed and uncounted:
-    /// churn is a reconfiguration event, not a memory access; a displaced
-    /// LLC victim drops silently, its data conceptually reaching memory).
-    /// L0 follows, also blocks ascending. The VM's LLC lines stay and age
-    /// out through natural replacement.
-    ///
-    /// Returns (L0 invalidations, L1 invalidations, writebacks in order).
-    fn scrub_private_caches(
-        &mut self,
-        vm: usize,
-        cores: &[usize],
-    ) -> (u64, u64, Vec<(BankId, BlockAddr)>) {
-        let mut l0_count = 0u64;
-        let mut l1_count = 0u64;
-        let mut writebacks = Vec::new();
-        for &core in cores {
-            let mut l1_lines: Vec<(BlockAddr, LineState)> = self.l1[core]
-                .lines()
-                .map(|line| (line.block, line.state))
-                .collect();
-            l1_lines.sort_unstable_by_key(|&(block, _)| block.raw());
-            let bank = self.config.machine.bank_of_core(CoreId::new(core));
-            for (block, state) in l1_lines {
-                if state.is_dirty() {
-                    match self.llc_way_masks.as_ref().map(|masks| masks[vm]) {
-                        Some(mask) => {
-                            self.llc[bank.index()].insert_in_ways(block, LineState::Modified, mask);
-                        }
-                        None => {
-                            self.llc[bank.index()].insert(block, LineState::Modified);
-                        }
-                    }
-                    writebacks.push((bank, block));
-                }
-                self.directory.evict(CoreId::new(core), block);
-                self.l1[core].invalidate(block);
-                l1_count += 1;
-            }
-            let mut l0_blocks: Vec<BlockAddr> =
-                self.l0[core].lines().map(|line| line.block).collect();
-            l0_blocks.sort_unstable_by_key(|block| block.raw());
-            for block in l0_blocks {
-                self.l0[core].invalidate(block);
-                l0_count += 1;
-            }
-        }
-        (l0_count, l1_count, writebacks)
+    /// Whether each core has a thread bound to it.
+    fn occupied_cores(&self) -> Vec<bool> {
+        self.core_thread.iter().map(Option::is_some).collect()
     }
 
     /// Emits the per-VM and machine-wide time-series snapshot for one epoch
@@ -1671,18 +1371,13 @@ impl Simulation {
     /// Recomputes the thread-to-core mapping with a fresh random stream
     /// (one context-switch epoch). Threads migrate; their cached data stays
     /// behind on the old cores and must be re-fetched (or transferred
-    /// cache-to-cache) from the new ones.
+    /// cache-to-cache) from the new ones. Each epoch's stream derives from
+    /// the root seed and the epoch number alone; checkpoints carry the
+    /// epoch counter so a resumed run draws the next epoch's placement.
     fn reschedule(&mut self) {
         self.resched_epoch += 1;
-        self.apply_resched_epoch(self.resched_epoch);
-    }
-
-    /// Applies the placement of one rescheduling epoch. Each epoch's random
-    /// stream derives from the root seed and the epoch number alone, so a
-    /// resumed simulation replays epochs `1..=resched_epoch` to land on the
-    /// exact placement the checkpointed run was using.
-    fn apply_resched_epoch(&mut self, epoch: u64) {
-        let rng = SimRng::from_seed(self.config.seed).derive_parts("resched/epoch", &[epoch]);
+        let rng = SimRng::from_seed(self.config.seed)
+            .derive_parts("resched/epoch", &[self.resched_epoch]);
         let vm_threads: Vec<usize> = self.config.workloads.iter().map(|w| w.threads).collect();
         if let Ok(placement) = place(self.config.policy, &self.config.machine, &vm_threads, &rng) {
             self.core_thread = vec![None; self.config.machine.num_cores];
@@ -1789,472 +1484,15 @@ impl Simulation {
         }
         self.config.trace = Some(trace);
     }
-
-    /// Writes a complete, versioned, checksummed snapshot of the simulation
-    /// — configuration and all mutable state — to `writer`. Resuming it with
-    /// [`Simulation::resume`] and running to completion produces results
-    /// bit-identical to never having stopped.
-    ///
-    /// Call between [`Simulation::advance`] invocations (or before the first
-    /// one); the trace sink is not serialized (reattach with
-    /// [`Simulation::set_trace`] after resuming).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Snapshot`] with [`SnapshotErrorKind::Io`] if
-    /// `writer` fails.
-    pub fn checkpoint<W: Write>(&self, writer: &mut W) -> Result<(), SimError> {
-        let mut snap = SnapWriter::new(writer, CHECKPOINT_VERSION)?;
-
-        let mut buf = SectionBuf::new();
-        snapshot::save_config(&self.config, &mut buf);
-        snap.section("config", &buf)?;
-
-        let mut buf = SectionBuf::new();
-        self.save_engine(&mut buf);
-        snap.section("engine", &buf)?;
-
-        let mut buf = SectionBuf::new();
-        save_items(&mut buf, &self.l0);
-        save_items(&mut buf, &self.l1);
-        save_items(&mut buf, &self.llc);
-        snap.section("caches", &buf)?;
-
-        let mut buf = SectionBuf::new();
-        self.directory.save(&mut buf);
-        save_items(&mut buf, &self.dircaches);
-        snap.section("coherence", &buf)?;
-
-        let mut buf = SectionBuf::new();
-        self.noc.save(&mut buf);
-        save_items(&mut buf, &self.memory_controllers);
-        snap.section("noc", &buf)?;
-
-        let mut buf = SectionBuf::new();
-        save_items(&mut buf, &self.generators);
-        snap.section("workload", &buf)?;
-
-        let mut buf = SectionBuf::new();
-        save_items(&mut buf, &self.metrics);
-        snap.section("metrics", &buf)?;
-
-        snap.finish()?;
-        Ok(())
-    }
-
-    /// Rebuilds a simulation from a [`Simulation::checkpoint`] stream. The
-    /// machine is constructed from the *stored* configuration, then every
-    /// stateful layer is restored into it; resuming and running to
-    /// completion is bit-identical to the uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Snapshot`] describing the failure class (bad
-    /// magic, unsupported version, truncation, checksum mismatch, corrupt
-    /// payload, I/O) — never panics on malformed input.
-    pub fn resume<R: Read>(reader: R) -> Result<Self, SimError> {
-        let mut snap = SnapReader::from_reader(reader, CHECKPOINT_VERSION)?;
-        let config = {
-            let mut r = snap.section("config")?;
-            let config = snapshot::restore_config(&mut r)?;
-            finish_section(&r)?;
-            config
-        };
-        let mut sim = Simulation::new(config)?;
-        {
-            let mut r = snap.section("engine")?;
-            sim.restore_engine(&mut r)?;
-            finish_section(&r)?;
-        }
-        {
-            let mut r = snap.section("caches")?;
-            restore_items(&mut r, &mut sim.l0)?;
-            restore_items(&mut r, &mut sim.l1)?;
-            restore_items(&mut r, &mut sim.llc)?;
-            finish_section(&r)?;
-        }
-        {
-            let mut r = snap.section("coherence")?;
-            sim.directory.restore(&mut r)?;
-            restore_items(&mut r, &mut sim.dircaches)?;
-            finish_section(&r)?;
-        }
-        {
-            let mut r = snap.section("noc")?;
-            sim.noc.restore(&mut r)?;
-            restore_items(&mut r, &mut sim.memory_controllers)?;
-            finish_section(&r)?;
-        }
-        {
-            let mut r = snap.section("workload")?;
-            restore_items(&mut r, &mut sim.generators)?;
-            finish_section(&r)?;
-        }
-        {
-            let mut r = snap.section("metrics")?;
-            restore_items(&mut r, &mut sim.metrics)?;
-            finish_section(&r)?;
-        }
-        snap.expect_end()?;
-        Ok(sim)
-    }
-
-    /// Serializes the engine-owned state: prewarm/reschedule progress, the
-    /// per-core gap streams, and the event loop's position.
-    fn save_engine(&self, w: &mut SectionBuf) {
-        w.put_bool(self.prewarmed);
-        w.put_u64(self.resched_epoch);
-        save_items(w, &self.gap_rngs);
-        // Prefetched-but-unissued references, per global thread. The
-        // generators' RNG streams have advanced past these, so a resumed
-        // run must drain them before asking the generators for more. Only
-        // the unissued tail is written: a checkpoint taken mid-batch and
-        // one taken after a resume at the same point produce identical
-        // bytes.
-        w.put_usize(self.batches.len());
-        for batch in &self.batches {
-            let pending = &batch.refs[batch.cursor..];
-            w.put_usize(pending.len());
-            for r in pending {
-                w.put_u64(r.address.raw());
-                w.put_bool(r.is_write);
-                w.put_bool(r.is_shared_region);
-            }
-        }
-        match &self.run_state {
-            None => w.put_bool(false),
-            Some(st) => {
-                w.put_bool(true);
-                w.put_u8(match st.phase {
-                    PhaseKind::Warmup => 0,
-                    PhaseKind::Measure => 1,
-                });
-                w.put_u64(st.start.raw());
-                w.put_u64_slice(&st.vm_refs);
-                w.put_usize(st.vm_done.len());
-                for &done in &st.vm_done {
-                    w.put_bool(done);
-                }
-                w.put_usize(st.remaining);
-                // Heap iteration order is arbitrary; serialize sorted so
-                // identical states produce identical checkpoint bytes.
-                let mut events: Vec<(u64, usize)> =
-                    st.heap.iter().map(|&Reverse(event)| event).collect();
-                events.sort_unstable();
-                w.put_usize(events.len());
-                for (time, core) in events {
-                    w.put_u64(time);
-                    w.put_usize(core);
-                }
-                w.put_u64(st.last_completion.raw());
-                w.put_opt_u64(st.next_resched);
-                w.put_u64(st.next_epoch);
-                w.put_u64(st.next_repart);
-                w.put_u64(st.next_churn);
-                w.put_bool(st.done);
-            }
-        }
-        // QoS controller state (quotas, EWMA slowdowns, boundary counters);
-        // presence must match the stored configuration's partitioning mode.
-        match &self.qos {
-            None => w.put_bool(false),
-            Some(qos) => {
-                w.put_bool(true);
-                qos.save(w);
-            }
-        }
-        // Churn lifecycle state. Under churn the core bindings and the
-        // placement table are live state (rewritten at churn boundaries),
-        // not derivable from the configuration, so both travel with the
-        // checkpoint.
-        match &self.churn {
-            None => w.put_bool(false),
-            Some(ch) => {
-                w.put_bool(true);
-                ch.save(w);
-                w.put_usize(self.core_thread.len());
-                for bound in &self.core_thread {
-                    match bound {
-                        None => w.put_bool(false),
-                        Some(thread) => {
-                            w.put_bool(true);
-                            w.put_usize(thread.vm.index());
-                            w.put_usize(thread.thread.index());
-                        }
-                    }
-                }
-                for vm in 0..self.placement.num_vms() {
-                    let vm = VmId::new(vm);
-                    for t in 0..self.placement.threads_of_vm(vm) {
-                        let thread = GlobalThreadId::new(vm, ThreadId::new(t));
-                        w.put_usize(self.placement.core_of(thread).index());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restores [`Simulation::save_engine`] state into a freshly built
-    /// machine, replaying rescheduling epochs to recover the placement.
-    fn restore_engine(&mut self, r: &mut SectionReader<'_>) -> Result<(), SimError> {
-        self.prewarmed = r.get_bool()?;
-        let resched_epoch = r.get_u64()?;
-        for epoch in 1..=resched_epoch {
-            self.apply_resched_epoch(epoch);
-        }
-        self.resched_epoch = resched_epoch;
-        restore_items(r, &mut self.gap_rngs)?;
-        r.expect_len(self.batches.len(), "thread ref batches")?;
-        for (slot, batch) in self.batches.iter_mut().enumerate() {
-            // Slot -> (vm, thread) via the prefix sums.
-            let vm = self.thread_base.partition_point(|&b| b <= slot) - 1;
-            let thread = ThreadId::new(slot - self.thread_base[vm]);
-            let pending = r.get_usize()?;
-            batch.cursor = 0;
-            batch.refs.clear();
-            for _ in 0..pending {
-                let address = Address(r.get_u64()?);
-                if address.vm() != VmId::new(vm) {
-                    return Err(SimError::snapshot(
-                        SnapshotErrorKind::Corrupt,
-                        format!(
-                            "prefetched reference for VM {vm} addresses {}",
-                            address.vm()
-                        ),
-                    ));
-                }
-                let is_write = r.get_bool()?;
-                let is_shared_region = r.get_bool()?;
-                batch.refs.push(MemRef {
-                    thread,
-                    address,
-                    is_write,
-                    is_shared_region,
-                });
-            }
-        }
-        self.run_state = if r.get_bool()? {
-            let num_vms = self.config.workloads.len();
-            let num_cores = self.config.machine.num_cores;
-            let phase = match r.get_u8()? {
-                0 => PhaseKind::Warmup,
-                1 => PhaseKind::Measure,
-                t => {
-                    return Err(SimError::snapshot(
-                        SnapshotErrorKind::Corrupt,
-                        format!("invalid phase tag {t}"),
-                    ))
-                }
-            };
-            let start = Cycle::new(r.get_u64()?);
-            let vm_refs = r.get_u64_vec()?;
-            if vm_refs.len() != num_vms {
-                return Err(SimError::snapshot(
-                    SnapshotErrorKind::Corrupt,
-                    format!(
-                        "snapshot tracks {} VMs, configuration builds {num_vms}",
-                        vm_refs.len()
-                    ),
-                ));
-            }
-            r.expect_len(num_vms, "per-VM completion flags")?;
-            let mut vm_done = Vec::with_capacity(num_vms);
-            for _ in 0..num_vms {
-                vm_done.push(r.get_bool()?);
-            }
-            let remaining = r.get_usize()?;
-            if remaining != vm_done.iter().filter(|&&d| !d).count() {
-                return Err(SimError::snapshot(
-                    SnapshotErrorKind::Corrupt,
-                    "remaining-VM count disagrees with completion flags",
-                ));
-            }
-            let events = r.get_usize()?;
-            let mut heap = BinaryHeap::with_capacity(events);
-            for _ in 0..events {
-                let time = r.get_u64()?;
-                let core = r.get_usize()?;
-                if core >= num_cores {
-                    return Err(SimError::snapshot(
-                        SnapshotErrorKind::Corrupt,
-                        format!("issue event on core {core} outside the {num_cores}-core machine"),
-                    ));
-                }
-                heap.push(Reverse((time, core)));
-            }
-            Some(RunState {
-                phase,
-                start,
-                vm_refs,
-                vm_done,
-                remaining,
-                heap,
-                last_completion: Cycle::new(r.get_u64()?),
-                next_resched: r.get_opt_u64()?,
-                next_epoch: r.get_u64()?,
-                next_repart: r.get_u64()?,
-                next_churn: r.get_u64()?,
-                done: r.get_bool()?,
-            })
-        } else {
-            None
-        };
-        if r.get_bool()? != self.qos.is_some() {
-            return Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
-                "QoS-controller presence disagrees with the stored partitioning mode",
-            ));
-        }
-        if let Some(qos) = &mut self.qos {
-            qos.restore(r)?;
-            // The live masks are derived state: rebuild them from the
-            // restored quotas so a checkpoint taken after a repartition
-            // resumes with the repartitioned split, not the initial one.
-            self.llc_way_masks = Some(qos.masks());
-        }
-        if r.get_bool()? != self.churn.is_some() {
-            return Err(SimError::snapshot(
-                SnapshotErrorKind::Corrupt,
-                "churn-state presence disagrees with the stored churn policy",
-            ));
-        }
-        if let Some(ch) = self.churn.as_mut() {
-            let num_cores = self.config.machine.num_cores;
-            let num_vms = self.config.workloads.len();
-            ch.restore(r)?;
-            r.expect_len(num_cores, "per-core thread bindings")?;
-            let mut core_thread: Vec<Option<GlobalThreadId>> = Vec::with_capacity(num_cores);
-            for _ in 0..num_cores {
-                if r.get_bool()? {
-                    let vm = r.get_usize()?;
-                    let thread = r.get_usize()?;
-                    if vm >= num_vms || thread >= self.config.workloads[vm].threads {
-                        return Err(SimError::snapshot(
-                            SnapshotErrorKind::Corrupt,
-                            format!(
-                                "core binding names thread {thread} of VM {vm}, outside the mix"
-                            ),
-                        ));
-                    }
-                    core_thread.push(Some(GlobalThreadId::new(
-                        VmId::new(vm),
-                        ThreadId::new(thread),
-                    )));
-                } else {
-                    core_thread.push(None);
-                }
-            }
-            let mut core_of: Vec<Vec<CoreId>> = Vec::with_capacity(num_vms);
-            for profile in &self.config.workloads {
-                let mut cores = Vec::with_capacity(profile.threads);
-                for _ in 0..profile.threads {
-                    let core = r.get_usize()?;
-                    if core >= num_cores {
-                        return Err(SimError::snapshot(
-                            SnapshotErrorKind::Corrupt,
-                            format!(
-                                "placement names core {core} outside the {num_cores}-core machine"
-                            ),
-                        ));
-                    }
-                    cores.push(CoreId::new(core));
-                }
-                core_of.push(cores);
-            }
-            let placement = Placement::from_parts(core_of, self.config.policy);
-            // Cross-check: every bound core must agree with the placement
-            // table, and a thread may be bound at most once. (The full
-            // no-core-reuse placement validation does not apply under churn:
-            // retired VMs keep their stale last placement by design.)
-            let mut bound = vec![false; num_vms * num_cores];
-            for (core, slot) in core_thread.iter().enumerate() {
-                if let Some(thread) = slot {
-                    if placement.core_of(*thread).index() != core {
-                        return Err(SimError::snapshot(
-                            SnapshotErrorKind::Corrupt,
-                            "core binding disagrees with the placement table",
-                        ));
-                    }
-                    let key = thread.vm.index() * num_cores + thread.thread.index();
-                    if std::mem::replace(&mut bound[key], true) {
-                        return Err(SimError::snapshot(
-                            SnapshotErrorKind::Corrupt,
-                            "a thread is bound to two cores",
-                        ));
-                    }
-                }
-            }
-            self.core_thread = core_thread;
-            self.placement = placement;
-        }
-        Ok(())
-    }
 }
 
-/// Maps one applied churn action to its lifecycle trace event.
-fn churn_trace_event(cycle: u64, action: &ChurnAction) -> TraceEvent {
-    let as_u64 = |cores: &[usize]| cores.iter().map(|&c| c as u64).collect::<Vec<u64>>();
-    match action {
-        ChurnAction::Spawn { vm, cores } => TraceEvent::VmSpawned {
-            cycle,
-            vm: *vm as u32,
-            cores: as_u64(cores),
-        },
-        ChurnAction::Retire {
-            vm,
-            cores,
-            invalidated_l0,
-            invalidated_l1,
-            writebacks,
-        } => TraceEvent::VmRetired {
-            cycle,
-            vm: *vm as u32,
-            cores: as_u64(cores),
-            invalidated_l0: *invalidated_l0,
-            invalidated_l1: *invalidated_l1,
-            writebacks: writebacks.len() as u64,
-        },
-        ChurnAction::Migrate {
-            vm,
-            from,
-            to,
-            invalidated_l0,
-            invalidated_l1,
-            writebacks,
-        } => TraceEvent::VmMigrated {
-            cycle,
-            vm: *vm as u32,
-            from: as_u64(from),
-            to: as_u64(to),
-            invalidated_l0: *invalidated_l0,
-            invalidated_l1: *invalidated_l1,
-            writebacks: writebacks.len() as u64,
-        },
-    }
-}
-
-/// Rejects unconsumed bytes at the end of a section: the payload passed its
-/// checksum but holds more data than this build knows how to restore.
-fn finish_section(r: &SectionReader<'_>) -> Result<(), SimError> {
-    if r.remaining() != 0 {
-        return Err(SimError::snapshot(
-            SnapshotErrorKind::Corrupt,
-            format!(
-                "{} unconsumed bytes at the end of section '{}'",
-                r.remaining(),
-                r.name()
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// Rebinds pending issue events after a reschedule that changed which cores
-/// are occupied (possible under [`SchedulingPolicy::Random`]): events on
-/// vacated cores are reassigned — earliest times first — to the cores that
-/// became occupied, in ascending core order. Events on cores that stayed
-/// occupied are untouched, so deterministic policies keep their exact
-/// pre-existing schedule.
+/// Re-homes pending issue events after any thread rebinding: a reschedule
+/// that changed which cores are occupied (possible under
+/// [`SchedulingPolicy::Random`]), a VM retirement or a migration. Events on
+/// cores that lost their thread go — earliest times first — to the cores
+/// that gained one, in ascending core order; surplus events drop, as a
+/// retirement's do. Events on cores that stayed occupied are untouched, so
+/// deterministic policies keep their exact pre-existing schedule.
 fn remap_core_events(
     heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
     occupied_before: &[bool],

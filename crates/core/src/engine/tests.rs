@@ -1,6 +1,7 @@
 //! The engine test suite: end-to-end behavior, LLC prewarming, dynamic
-//! rescheduling, issue-event remapping, and way partitioning. Lives beside
-//! [`super`] (`engine.rs`) so tests keep access to crate-private state
+//! rescheduling, issue-event remapping, checkpoints, churn, way
+//! partitioning and the boundary path. Lives beside [`super`]
+//! (`engine.rs`) so tests keep access to crate-private state
 //! (`core_thread`, the LLC banks, `remap_core_events`).
 
 use super::*;
@@ -415,9 +416,11 @@ mod resched {
 }
 
 mod remap {
-    //! Direct unit tests for [`remap_core_events`], the post-reschedule
-    //! issue-heap fixup exercised end-to-end by
-    //! [`resched::random_rescheduling_survives_partial_occupancy`].
+    //! Direct unit tests for [`remap_core_events`], the one helper that
+    //! re-homes pending issue events after a reschedule, a retirement or a
+    //! migration. End to end it runs in
+    //! [`resched::random_rescheduling_survives_partial_occupancy`] and the
+    //! churn seam tests.
 
     use super::*;
     use consim_types::{ThreadId, VmId};
@@ -468,6 +471,38 @@ mod remap {
         remap_core_events(&mut heap, &occupied_before, &core_thread);
         assert_eq!(sorted(heap), vec![(15, 2), (40, 3)]);
     }
+
+    #[test]
+    fn retirement_drops_the_vacated_cores_events() {
+        // VM 1 leaves cores 1 and 2 and no core gains a thread, so their
+        // events drop while the other VMs' stay put.
+        let mut heap = heap_of(&[(10, 0), (20, 1), (30, 2), (40, 3)]);
+        let occupied_before = [true, true, true, true];
+        let core_thread = [thread(0, 0), None, None, thread(2, 0)];
+        remap_core_events(&mut heap, &occupied_before, &core_thread);
+        assert_eq!(sorted(heap), vec![(10, 0), (40, 3)]);
+    }
+
+    #[test]
+    fn migration_moves_events_earliest_first_onto_the_target_cores() {
+        // VM 1 migrates from cores 1 and 2 onto the free cores 4 and 6
+        // (thread t onto the t-th target, ascending): its earliest event
+        // lands on core 4, the later one on core 6.
+        let mut heap = heap_of(&[(10, 0), (40, 1), (15, 2), (25, 3)]);
+        let occupied_before = [true, true, true, true, false, false, false, false];
+        let core_thread = [
+            thread(0, 0),
+            None,
+            None,
+            thread(2, 0),
+            thread(1, 0),
+            None,
+            thread(1, 1),
+            None,
+        ];
+        remap_core_events(&mut heap, &occupied_before, &core_thread);
+        assert_eq!(sorted(heap), vec![(10, 0), (15, 4), (25, 3), (40, 6)]);
+    }
 }
 
 mod snap {
@@ -482,7 +517,11 @@ mod snap {
 
     /// A small machine (256 KB LLC) so checkpoints stay compact and runs
     /// stay fast while still exercising banking, coherence, and contention.
-    fn config(seed: u64, policy: SchedulingPolicy, resched: Option<u64>) -> SimulationConfig {
+    pub(super) fn config(
+        seed: u64,
+        policy: SchedulingPolicy,
+        resched: Option<u64>,
+    ) -> SimulationConfig {
         let machine = MachineConfigBuilder::new()
             .llc(CacheGeometry::new(256 * 1024, 16, 6).unwrap())
             .sharing(SharingDegree::SharedBy(4))
@@ -609,9 +648,10 @@ mod snap {
     }
 
     #[test]
-    fn resume_replays_dynamic_rescheduling_placement() {
+    fn resume_reads_back_rescheduled_bindings() {
         // Random placement with frequent rescheduling is the hardest case:
-        // the placement at the cut point exists only as a derived stream.
+        // the placement at the cut point is no function of the
+        // configuration, so the checkpoint's bindings must carry it.
         let cfg = || config(9, SchedulingPolicy::Random, Some(5_000));
         let straight = Simulation::new(cfg()).unwrap().run().unwrap();
         let bytes = checkpoint_at(cfg(), 6_000);
@@ -622,6 +662,57 @@ mod snap {
         );
         let resumed = resumed_sim.run().unwrap();
         assert_eq!(fingerprint(&resumed), fingerprint(&straight));
+    }
+
+    /// Engine state the loop cannot run, in a checkpoint whose checksums
+    /// hold, is refused as `Corrupt` rather than resumed into a panic.
+    #[test]
+    fn resume_refuses_engine_state_that_disagrees_with_itself() {
+        type Edit = fn(&mut Simulation);
+        let edits: [(&str, Edit, &str); 3] = [
+            // A run without churn: swap two bound cores' threads behind
+            // the placement table's back.
+            (
+                "swapped bindings",
+                |sim| {
+                    let bound: Vec<usize> = (0..sim.core_thread.len())
+                        .filter(|&core| sim.core_thread[core].is_some())
+                        .collect();
+                    sim.core_thread.swap(bound[0], bound[1]);
+                },
+                "placement table",
+            ),
+            // A churn stamp on a machine without a churn policy.
+            (
+                "stray churn stamp",
+                |sim| sim.run_state.as_mut().unwrap().next_churn = 1,
+                "boundary stamp",
+            ),
+            // A pending issue event on a core with no thread.
+            (
+                "unbound core with an event",
+                |sim| {
+                    let st = sim.run_state.as_ref().unwrap();
+                    let Reverse((_, core)) = *st.heap.peek().unwrap();
+                    sim.core_thread[core] = None;
+                },
+                "no thread is bound",
+            ),
+        ];
+        for (what, edit, message) in edits {
+            let mut sim = Simulation::new(config(8, SchedulingPolicy::Affinity, None)).unwrap();
+            assert_eq!(sim.advance(1_500, None).unwrap(), RunStatus::Running);
+            edit(&mut sim);
+            let mut bytes = Vec::new();
+            sim.checkpoint(&mut bytes).unwrap();
+            let err = Simulation::resume(bytes.as_slice()).unwrap_err();
+            assert_eq!(
+                err.snapshot_kind(),
+                Some(SnapshotErrorKind::Corrupt),
+                "{what}: {err}"
+            );
+            assert!(err.to_string().contains(message), "{what}: {err}");
+        }
     }
 
     #[test]
@@ -816,7 +907,7 @@ mod snap {
     /// A dynamic-QoS variant of [`config`]: a short repartition epoch, no
     /// dead-band, and an asymmetric VM mix so controller decisions land —
     /// and actually move ways — inside the measured window.
-    fn dynamic_config(seed: u64) -> SimulationConfig {
+    pub(super) fn dynamic_config(seed: u64) -> SimulationConfig {
         let policy = consim_types::config::DynamicPolicy {
             epoch_interval: 2_000,
             deadband_milli: 0,
@@ -906,7 +997,7 @@ mod churn {
         }
     }
 
-    fn policy() -> ChurnPolicy {
+    pub(super) fn policy() -> ChurnPolicy {
         ChurnPolicy {
             interval: 1_000,
             arrival_permille: vec![700; 4],
@@ -920,7 +1011,7 @@ mod churn {
 
     /// Four 2-thread VMs on the 16-core machine: half the cores start
     /// free, so arrivals and migrations always have somewhere to land.
-    fn config(seed: u64, churn: Option<ChurnPolicy>) -> SimulationConfig {
+    pub(super) fn config(seed: u64, churn: Option<ChurnPolicy>) -> SimulationConfig {
         let mut machine = MachineConfigBuilder::new();
         machine
             .llc(CacheGeometry::new(256 * 1024, 16, 6).unwrap())
@@ -1431,5 +1522,92 @@ mod partitioning {
             (out.measured_cycles, out.occupancy.share.clone())
         };
         assert_eq!(run(), run());
+    }
+}
+
+mod boundary {
+    //! The one boundary path: the epoch stamp runs whenever a trace sink is
+    //! attached, and the sink's interest in [`EventClass::Epoch`] is read
+    //! at each boundary, not once per phase.
+
+    use super::*;
+    use crate::persist::outcome_to_bytes;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    /// Wants `Epoch` events only while `epochs_on` is set, and counts the
+    /// `Epoch` events it records.
+    #[derive(Debug, Default)]
+    struct SwitchSink {
+        epochs_on: AtomicBool,
+        epochs: AtomicU64,
+    }
+
+    impl TraceSink for SwitchSink {
+        fn record(&self, event: &TraceEvent) {
+            if matches!(event, TraceEvent::Epoch { .. }) {
+                self.epochs.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        fn wants(&self, class: EventClass) -> bool {
+            class != EventClass::Epoch || self.epochs_on.load(Ordering::Relaxed)
+        }
+    }
+
+    /// Runs `config` without warmup, traced into `sink` with 2,000-cycle
+    /// epochs, in 2,000-access slices; before slice `i` the sink wants
+    /// `Epoch` iff `on(i)`. Returns the outcome record.
+    fn run_switched(
+        mut config: SimulationConfig,
+        sink: &Arc<SwitchSink>,
+        on: impl Fn(usize) -> bool,
+    ) -> Vec<u8> {
+        let mut trace = TraceConfig::new(Arc::clone(sink) as Arc<dyn TraceSink>);
+        trace.epoch_cycles = 2_000;
+        config.trace = Some(trace);
+        let mut sim = Simulation::new(config).unwrap();
+        for slice in 0.. {
+            sink.epochs_on.store(on(slice), Ordering::Relaxed);
+            if sim.advance(2_000, None).unwrap() == RunStatus::Complete {
+                break;
+            }
+        }
+        outcome_to_bytes(&sim.finish().unwrap()).unwrap()
+    }
+
+    /// Measurement starts inside the first slice.
+    fn without_warmup(mut config: SimulationConfig) -> SimulationConfig {
+        config.warmup_refs_per_vm = 0;
+        config
+    }
+
+    #[test]
+    fn a_sink_that_stops_wanting_epochs_mid_run_moves_no_byte() {
+        let qos = without_warmup(super::snap::dynamic_config(11));
+        let churn = without_warmup(super::churn::config(42, Some(super::churn::policy())));
+        for (name, config) in [("dynamic QoS", qos), ("churn", churn)] {
+            let untraced = Simulation::new(config.clone()).unwrap().run().unwrap();
+            let sink = Arc::new(SwitchSink::default());
+            let traced = run_switched(config, &sink, |slice| slice == 0);
+            assert!(
+                sink.epochs.load(Ordering::Relaxed) > 0,
+                "{name}: the first slice records snapshots"
+            );
+            assert!(
+                traced == outcome_to_bytes(&untraced).unwrap(),
+                "{name}: the traced run's outcome differs"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sink_that_starts_wanting_epochs_mid_run_gets_snapshots() {
+        let config = without_warmup(super::snap::config(4, SchedulingPolicy::Affinity, None));
+        let sink = Arc::new(SwitchSink::default());
+        run_switched(config, &sink, |slice| slice > 0);
+        assert!(
+            sink.epochs.load(Ordering::Relaxed) >= 1,
+            "a subscriber arriving after measurement starts must see snapshots"
+        );
     }
 }

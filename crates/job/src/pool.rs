@@ -20,6 +20,10 @@
 //! of its configuration, and slicing a simulation is bit-transparent (the
 //! checkpoint/advance contract), so worker count, slice length, and
 //! interleaving are all schedule, not semantics.
+//!
+//! A job that panics — in [`Simulation::new`], `advance` or `finish`, or in
+//! a trace sink they call — fails alone: the worker reports it as an error
+//! naming the panic and keeps serving its other resident jobs.
 
 use crate::journal::JobJournal;
 use crate::queue::{JobQueue, QueuePoll};
@@ -29,6 +33,7 @@ use consim::engine::{RunStatus, Simulation, SimulationOutcome};
 use consim_trace::{TraceEvent, TraceSink};
 use consim_types::{SimError, SnapshotErrorKind};
 use std::collections::{HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -304,7 +309,7 @@ fn worker_loop(shared: &Shared) {
             unsaved,
         } = active;
         let start = Instant::now();
-        match sim.advance(slice, None) {
+        match guarded(|| sim.advance(slice, None)) {
             Ok(RunStatus::Running) => {
                 let busy = busy + start.elapsed();
                 let mut unsaved = unsaved + slice;
@@ -327,7 +332,7 @@ fn worker_loop(shared: &Shared) {
                 });
             }
             Ok(RunStatus::Complete) => {
-                let result = sim.finish();
+                let result = guarded(|| sim.finish());
                 let busy = busy + start.elapsed();
                 let result = result.and_then(|outcome| {
                     if let Some(journal) = &shared.journal {
@@ -410,7 +415,7 @@ fn admit(shared: &Shared, job: JobSpec) -> Option<Active> {
     }
     // A prewarmed job fills its LLC banks inside its first slice.
     let start = Instant::now();
-    match Simulation::new(job.config().clone()) {
+    match guarded(|| Simulation::new(job.config().clone())) {
         Ok(sim) => Some(Active {
             job,
             sim,
@@ -422,6 +427,21 @@ fn admit(shared: &Shared, job: JobSpec) -> Option<Active> {
             None
         }
     }
+}
+
+/// Runs one engine call of a job, turning a panic into an error that names
+/// it, so the job fails alone instead of taking its worker down with every
+/// other job resident there. The panicking simulation is dropped with the
+/// job, so no state it may have left half-updated is used again.
+fn guarded<T>(call: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
+    catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a panic without a message".to_string());
+        Err(SimError::invariant(format!("job panicked: {message}")))
+    })
 }
 
 /// Final accounting for a job that actually ran in this invocation:
@@ -549,9 +569,13 @@ mod tests {
         let queue = Arc::new(LiveQueue::new());
         // Submit the whole batch before any worker exists so the order of
         // admission (and therefore which job trips the fault) is fixed.
+        // Closing the queue up front makes a fault that never trips fail
+        // the test instead of parking the worker forever; the stranded
+        // jobs are still reported by `join`'s drain.
         for seed in 0..3 {
             queue.push(0, config(seed)).unwrap();
         }
+        queue.close();
         let sink = Arc::new(CollectingSink::new());
         let pool = WorkerPool::start(
             PoolConfig {
@@ -644,6 +668,58 @@ mod tests {
             sink.take().remove(&2),
             Some(Ok(JobOutput::Abandoned))
         ));
+    }
+
+    /// A trace sink that panics on the first event it is asked to record.
+    #[derive(Debug)]
+    struct PanickingSink;
+
+    impl TraceSink for PanickingSink {
+        fn record(&self, _: &TraceEvent) {
+            panic!("trace sink gave up");
+        }
+    }
+
+    /// A job that panics fails alone: it reports an error naming the
+    /// panic, the job resident beside it on the same worker completes, and
+    /// `join` returns instead of propagating the worker's panic.
+    #[test]
+    fn a_panicking_job_fails_alone() {
+        let mut doomed = short_config(1, 400, 0, false);
+        doomed.trace = Some(consim::engine::TraceConfig::new(Arc::new(PanickingSink)));
+        let ordinary = short_config(2, 400, 0, false);
+        let queue = Arc::new(LiveQueue::new());
+        queue.push(0, ordinary.clone()).unwrap();
+        queue.push(0, doomed).unwrap();
+        queue.close();
+        let sink = Arc::new(CollectingSink::new());
+        let pool = WorkerPool::start(
+            PoolConfig {
+                workers: 1,
+                time_slice: Some(100),
+                max_live: 2,
+                ..PoolConfig::default()
+            },
+            Arc::clone(&queue) as Arc<dyn JobQueue>,
+            Arc::clone(&sink) as Arc<dyn ResultSink>,
+            None,
+            None,
+        );
+        assert_eq!(pool.join().simulated, 2);
+        let mut results = sink.take();
+        let err = results
+            .remove(&1)
+            .expect("the panicking job reports")
+            .expect_err("the panicking job fails");
+        assert!(err.to_string().contains("trace sink gave up"), "{err}");
+        let Some(Ok(JobOutput::Completed { outcome, .. })) = results.remove(&0) else {
+            panic!("the job beside it must complete");
+        };
+        let direct = Simulation::new(ordinary).unwrap().run().unwrap();
+        assert_eq!(
+            persist::outcome_to_bytes(&outcome).unwrap(),
+            persist::outcome_to_bytes(&direct).unwrap()
+        );
     }
 
     fn short_config(seed: u64, refs: u64, warmup: u64, prewarm: bool) -> SimulationConfig {

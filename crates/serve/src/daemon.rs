@@ -20,10 +20,13 @@
 //! checkpointing is bit-transparent.
 //!
 //! Liveness: `Subscribe` attaches a per-connection [`TraceSink`] to the
-//! job's per-job [`BroadcastSink`]. With zero subscribers the broadcast
-//! wants no event classes, so the engine keeps its non-instrumented fast
-//! loop; a subscriber arriving mid-run takes effect at the job's next
-//! time slice.
+//! job's per-job [`BroadcastSink`]. Every job carries that broadcast, so
+//! it takes an epoch boundary every [`DaemonConfig::epoch_cycles`]
+//! simulated cycles; with zero subscribers the broadcast wants no event
+//! classes and the boundary emits nothing. The engine asks at each
+//! boundary, so a subscriber arriving mid-run gets snapshots from the
+//! job's next epoch boundary on, and one that hangs up mid-run stops
+//! them there without disturbing the job.
 
 use crate::net::{Endpoint, EndpointSpec, Listener, ServeStream};
 use crate::proto::{

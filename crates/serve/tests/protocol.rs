@@ -12,7 +12,7 @@ use consim_serve::{Client, JobState, StreamFrame};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Temp dir removed on drop (even on assertion failure).
 struct ScratchDir(PathBuf);
@@ -279,6 +279,72 @@ fn subscribe_streams_live_epoch_events() {
     assert!(events > 0, "a live subscriber must see epoch snapshots");
 
     let mut client = Client::connect(&endpoint).unwrap();
+    client.shutdown().unwrap();
+    daemon.wait();
+}
+
+/// A subscriber that hangs up while a dynamic-QoS job runs leaves the job
+/// whole: the job's sink stops wanting epoch snapshots partway through
+/// measurement, the job still completes with the in-process outcome, and
+/// the daemon keeps answering.
+#[test]
+fn subscriber_hanging_up_mid_run_leaves_a_qos_job_whole() {
+    let (daemon, _scratch) = start_daemon("hangup");
+    let endpoint = daemon.endpoint().clone();
+    let mut client = Client::connect(&endpoint).unwrap();
+    // Two long jobs keep the one worker busy, so the QoS job is still
+    // queued when the subscriber attaches and measurement starts with the
+    // sink wanting epochs.
+    for seed in [50, 51] {
+        let mut blocker = test_config(seed);
+        blocker.refs_per_vm = 150_000;
+        client.submit(0, &blocker).unwrap();
+    }
+    let policy = consim_types::config::DynamicPolicy {
+        epoch_interval: 5_000,
+        ..Default::default()
+    };
+    let machine = consim_types::config::MachineConfig::paper_default()
+        .with_llc_partitioning(consim_types::LlcPartitioning::Dynamic(policy));
+    let mut builder = consim::engine::SimulationConfig::builder();
+    builder
+        .machine(machine)
+        .workload_instances(&test_config(52).workloads[0], 2)
+        .refs_per_vm(20_000)
+        .warmup_refs_per_vm(0)
+        .seed(52);
+    let qos = builder.build().unwrap();
+    let ack = client.submit(0, &qos).unwrap();
+    {
+        let mut sub = Client::connect(&endpoint).unwrap();
+        sub.set_timeout(Some(Duration::from_secs(120))).unwrap();
+        sub.subscribe(ack.digest).unwrap();
+        match sub.next_stream_frame().unwrap() {
+            StreamFrame::Event(_) => {}
+            StreamFrame::Done { state, .. } => {
+                panic!("the QoS job ended before streaming: {state:?}")
+            }
+        }
+        // Dropping `sub` hangs up mid-run.
+    }
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let served = loop {
+        let reply = client.status(ack.digest).unwrap();
+        match reply.state {
+            JobState::Completed => break reply.outcome_bytes.unwrap(),
+            JobState::Pending => {
+                assert!(
+                    Instant::now() < deadline,
+                    "the QoS job was still pending 120 s after its subscriber hung up"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("the QoS job must complete, got {other:?}"),
+        }
+    };
+    let direct = Simulation::new(qos).unwrap().run().unwrap();
+    assert_eq!(served, persist::outcome_to_bytes(&direct).unwrap());
+    client.ping().unwrap();
     client.shutdown().unwrap();
     daemon.wait();
 }

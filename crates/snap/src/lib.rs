@@ -79,6 +79,12 @@ pub const MAGIC: [u8; 4] = *b"CSNP";
 ///   rejected as [`SnapshotErrorKind::BadVersion`], and the job pool
 ///   re-runs its job. Records stay at 4, so their bytes and every digest
 ///   taken over them are unchanged.
+/// * 6 — checkpoints only: the engine section carries the core bindings
+///   and the placement table for every run, not only under churn, so a
+///   resumed run reads its rescheduled placement back instead of
+///   replaying the rescheduling epochs; the next rescheduling boundary is
+///   a plain cycle stamp (`u64::MAX` when off) instead of an optional one.
+///   A v5 checkpoint is rejected as [`SnapshotErrorKind::BadVersion`].
 pub const VERSION: u32 = 4;
 
 /// Format version of engine checkpoints (`Simulation::checkpoint`).
@@ -88,7 +94,7 @@ pub const VERSION: u32 = 4;
 /// byte of an outcome record, whose digests callers pin. A checkpoint
 /// of any other version is rejected as [`SnapshotErrorKind::BadVersion`];
 /// runs are deterministic, so its owner can re-run the job instead.
-pub const CHECKPOINT_VERSION: u32 = 5;
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// FNV-1a hash of a byte slice — the section checksum function.
 ///

@@ -36,7 +36,7 @@ pub fn digest_of<T: Hash + ?Sized>(value: &T) -> String {
 /// Metadata describing one traced run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// Which binary produced the trace (`run_all`, `sweep`, `throughput`).
+    /// Which binary produced the trace (`run_all`, `sweep`).
     pub bin: &'static str,
     /// Workspace crate version (`CARGO_PKG_VERSION` of the bin crate).
     pub crate_version: &'static str,

@@ -204,8 +204,9 @@ impl Drop for JsonlSink {
 /// go mid-run: [`BroadcastSink::subscribe`] registers a downstream sink,
 /// the returned token [`BroadcastSink::unsubscribe`]s it. With no
 /// subscribers [`TraceSink::wants`] reports `false` for every class, so
-/// producers that re-check `wants` at slice boundaries keep their
-/// non-instrumented fast path until someone is actually listening.
+/// producers that re-check `wants` where they would emit (the engine does
+/// at each epoch boundary) build nothing until someone is actually
+/// listening.
 #[derive(Debug, Default)]
 pub struct BroadcastSink {
     inner: Mutex<Broadcast>,
