@@ -64,6 +64,7 @@ fn bench_noc() {
         black_box(noc.send(
             &Packet::data(NodeId::new(0), NodeId::new(15)),
             Cycle::new(t),
+            Cycle::new(t),
         ));
     });
 }

@@ -930,6 +930,10 @@ impl Simulation {
         let track_footprint = self.config.track_footprint;
         let mut budget_left = *budget;
         let mut next_boundary = st.next_boundary();
+        // Every push is at or after the event just popped, so pops never go
+        // backwards within a phase: each popped cycle is a floor for every
+        // reservation made from then on (`HierarchyCtx::floor`).
+        let mut last_pop = st.start.raw();
         // The carry slot: when the reference just issued completes before
         // every pending event, its (ready-cycle, core) pair never enters the
         // heap — the next iteration consumes it directly. Pop order is
@@ -954,6 +958,8 @@ impl Simulation {
                     }
                 },
             };
+            debug_assert!(now >= last_pop, "event at {now} popped after {last_pop}");
+            last_pop = now;
             if now >= next_boundary {
                 let pushed_back = self.boundary(now, core, st, observer);
                 next_boundary = st.next_boundary();
@@ -982,7 +988,15 @@ impl Simulation {
                     m.footprint.insert(mem_ref.address.block().raw());
                 }
             }
-            let done = self.access(CoreId::new(core), vm, &mem_ref, issue, measuring, observer);
+            let done = self.access(
+                CoreId::new(core),
+                vm,
+                &mem_ref,
+                Cycle::new(now),
+                issue,
+                measuring,
+                observer,
+            );
             budget_left -= 1;
 
             if !st.vm_done[vm.index()] {
@@ -1224,13 +1238,16 @@ impl Simulation {
     }
 
     /// Simulates one reference: the private-hit fast path completes it
-    /// inline; anything else walks the [`crate::hierarchy`] pipeline.
-    /// Returns its completion time.
+    /// inline; anything else walks the [`crate::hierarchy`] pipeline with
+    /// `floor`, the cycle of the event that issued it, as its reservation
+    /// floor. Returns its completion time.
+    #[allow(clippy::too_many_arguments)] // the event, the reference, its phase
     fn access(
         &mut self,
         core: CoreId,
         vm: VmId,
         mem_ref: &MemRef,
+        floor: Cycle,
         issue: Cycle,
         measuring: bool,
         observer: &mut Option<&mut dyn StepObserver>,
@@ -1247,7 +1264,7 @@ impl Simulation {
             Ok(hit) => hit,
             Err(kind) => {
                 let (completion, source) = self
-                    .hierarchy_ctx()
+                    .hierarchy_ctx(floor)
                     .coherence_transaction(core, vm, block, kind, issue, measuring);
                 (completion, StepOutcome::Miss(source))
             }
@@ -1318,11 +1335,12 @@ impl Simulation {
         })
     }
 
-    /// The per-access view of the machine handed to the hierarchy pipeline.
-    /// Compiles down to a bundle of pointers; built fresh per reference so
-    /// the engine keeps ownership of all state between events.
+    /// The per-access view of the machine handed to the hierarchy pipeline,
+    /// booking its calendars at or above `floor`. Compiles down to a bundle
+    /// of pointers; built fresh per reference so the engine keeps ownership
+    /// of all state between events.
     #[inline]
-    fn hierarchy_ctx(&mut self) -> HierarchyCtx<'_> {
+    fn hierarchy_ctx(&mut self, floor: Cycle) -> HierarchyCtx<'_> {
         HierarchyCtx {
             machine: &self.config.machine,
             layout: &self.layout,
@@ -1335,6 +1353,7 @@ impl Simulation {
             memory_controllers: &mut self.memory_controllers,
             metrics: &mut self.metrics,
             llc_masks: self.llc_way_masks.as_deref(),
+            floor,
         }
     }
 

@@ -22,11 +22,9 @@ impl HierarchyCtx<'_> {
     ) -> (Cycle, MissSource) {
         let snode = self.layout.core_node(supplier);
         let home = self.directory.home_of(block);
-        let fwd = self.noc.send(&Packet::control(home, snode), t);
+        let fwd = self.send(&Packet::control(home, snode), t);
         let access_done = fwd + self.machine.l1.latency;
-        let data = self
-            .noc
-            .send(&Packet::data(snode, requester_node), access_done);
+        let data = self.send(&Packet::data(snode, requester_node), access_done);
 
         if is_write {
             // Ownership moves wholesale; the supplier loses its copy. (For
@@ -43,7 +41,7 @@ impl HierarchyCtx<'_> {
         }
         if sharing_writeback {
             let (mc, mcnode) = self.layout.memory_controller_of(block);
-            let arrive = self.noc.send(&Packet::data(snode, mcnode), access_done);
+            let arrive = self.send(&Packet::data(snode, mcnode), access_done);
             self.reserve_memory(mc, arrive);
         }
         let source = if dirty {
@@ -65,7 +63,7 @@ impl HierarchyCtx<'_> {
                 // distributed across the core's group (local delivery).
                 let bank = self.machine.bank_of_core(core);
                 let cnode = self.layout.core_node(core);
-                self.noc.send(&Packet::data(cnode, cnode), now);
+                self.send(&Packet::data(cnode, cnode), now);
                 self.fill_llc(bank, victim.block, LineState::Modified, now);
             }
         }

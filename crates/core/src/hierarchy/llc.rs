@@ -26,11 +26,11 @@ impl HierarchyCtx<'_> {
         // (the paper's uniform 6-cycle L2), so the access point is the
         // requester's node; only *remote* banks cost a mesh traversal.
         let bnode = cnode;
-        let at_bank = self.noc.send(&Packet::control(home, bnode), t);
+        let at_bank = self.send(&Packet::control(home, bnode), t);
         let probed = at_bank + llc_latency;
 
         if self.llc[my_bank.index()].access(block).is_some() {
-            let data = self.noc.send(&Packet::data(bnode, cnode), probed);
+            let data = self.send(&Packet::data(bnode, cnode), probed);
             if is_write {
                 // The writer's L1 copy becomes the only valid one.
                 self.invalidate_llc_copies(block);
@@ -48,9 +48,9 @@ impl HierarchyCtx<'_> {
             });
         if let Some(rb) = remote {
             let rnode = self.layout.bank_node(BankId::new(rb));
-            let fwd = self.noc.send(&Packet::control(bnode, rnode), probed);
+            let fwd = self.send(&Packet::control(bnode, rnode), probed);
             let served = fwd + llc_latency;
-            let data = self.noc.send(&Packet::data(rnode, cnode), served);
+            let data = self.send(&Packet::data(rnode, cnode), served);
             let was_dirty = self.llc[rb]
                 .probe(block)
                 .map(LineState::is_dirty)
@@ -63,7 +63,7 @@ impl HierarchyCtx<'_> {
                     // copies can proliferate.
                     self.llc[rb].set_state(block, LineState::Shared);
                     let (mc, mcnode) = self.layout.memory_controller_of(block);
-                    let arrive = self.noc.send(&Packet::data(rnode, mcnode), served);
+                    let arrive = self.send(&Packet::data(rnode, mcnode), served);
                     self.reserve_memory(mc, arrive);
                 }
                 // Replicate into the requester's bank.
@@ -79,10 +79,10 @@ impl HierarchyCtx<'_> {
 
         // Memory: queue at the controller, then pay the DRAM latency.
         let (mc, mcnode) = self.layout.memory_controller_of(block);
-        let to_mc = self.noc.send(&Packet::control(bnode, mcnode), probed);
+        let to_mc = self.send(&Packet::control(bnode, mcnode), probed);
         let service = self.reserve_memory(mc, to_mc);
         let fetched = service + memory_latency;
-        let data = self.noc.send(&Packet::data(mcnode, cnode), fetched);
+        let data = self.send(&Packet::data(mcnode, cnode), fetched);
         if !is_write {
             self.fill_llc(my_bank, block, LineState::Shared, fetched);
         }
@@ -109,7 +109,7 @@ impl HierarchyCtx<'_> {
             if victim.state.is_dirty() {
                 let bnode = self.layout.bank_node(bank);
                 let (mc, mcnode) = self.layout.memory_controller_of(victim.block);
-                let arrive = self.noc.send(&Packet::data(bnode, mcnode), now);
+                let arrive = self.send(&Packet::data(bnode, mcnode), now);
                 self.reserve_memory(mc, arrive);
             }
         }

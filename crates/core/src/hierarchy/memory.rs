@@ -20,9 +20,8 @@ impl HierarchyCtx<'_> {
     }
 
     fn reserve_memory_slot(&mut self, mc: MemCtrlId, ready: Cycle, occupancy: u64) -> Cycle {
-        let prune_before = ready.raw().saturating_sub(200_000);
         let start =
-            self.memory_controllers[mc.index()].reserve(ready.raw(), occupancy, prune_before);
+            self.memory_controllers[mc.index()].reserve(ready.raw(), occupancy, self.floor.raw());
         Cycle::new(start)
     }
 }

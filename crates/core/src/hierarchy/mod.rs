@@ -19,6 +19,10 @@
 //! borrowing the simulation's caches, directory, NoC, and metrics. It is
 //! constructed afresh for every reference (it compiles down to a bundle of
 //! pointers) so the engine retains ownership of all state between events.
+//! It also carries the reservation floor, the cycle of the event being
+//! simulated: every NoC and memory-controller booking this reference makes
+//! is ready at or after it, and so is every later reference's, so the
+//! calendars drop what ended at or before it (`consim_noc::contention`).
 //!
 //! ## Way partitioning
 //!
@@ -60,9 +64,18 @@ pub struct HierarchyCtx<'a> {
     /// Per-VM allowed-way bitmasks for LLC allocation, when partitioning is
     /// active (see the [module docs](self)).
     pub(crate) llc_masks: Option<&'a [u64]>,
+    /// The reservation floor handed to every calendar booking (see the
+    /// [module docs](self)).
+    pub(crate) floor: Cycle,
 }
 
 impl HierarchyCtx<'_> {
+    /// Sends `packet` at `depart`, booking its links at or above this
+    /// reference's floor; returns its arrival cycle.
+    fn send(&mut self, packet: &Packet, depart: Cycle) -> Cycle {
+        self.noc.send(packet, depart, self.floor)
+    }
+
     /// Resolves an L1 miss (or upgrade) through the directory; returns the
     /// completion time and the engine's classification of the miss. The
     /// private-hit prefix of the walk lives in the engine's fast path
@@ -87,7 +100,7 @@ impl HierarchyCtx<'_> {
         // Miss detected after the private lookups.
         let t0 = issue + l0_latency + l1_latency;
         // Request to the home directory.
-        let mut t = self.noc.send(&Packet::control(cnode, home), t0);
+        let mut t = self.send(&Packet::control(cnode, home), t0);
         t += 1; // directory pipeline
         if !self.dircaches[home.index()].lookup(block) {
             // Fetch the entry off-chip through the block's controller.
@@ -104,12 +117,12 @@ impl HierarchyCtx<'_> {
         let mut ack_time = Cycle::ZERO;
         for victim in outcome.invalidate.iter() {
             let vnode = self.layout.core_node(victim);
-            let arrive = self.noc.send(&Packet::control(home, vnode), t);
+            let arrive = self.send(&Packet::control(home, vnode), t);
             self.invalidate_private(victim, block);
             if measuring {
                 self.metrics[vm.index()].invalidations_received += 1;
             }
-            let ack = self.noc.send(&Packet::control(vnode, cnode), arrive);
+            let ack = self.send(&Packet::control(vnode, cnode), arrive);
             ack_time = ack_time.max(ack);
         }
 

@@ -18,6 +18,14 @@
 //! transaction can reserve link time far in the future (e.g. after a memory
 //! fetch) without falsely delaying packets that depart earlier but are
 //! simulated later.
+//!
+//! Every reservation carries a *floor*: a cycle no present or future
+//! reservation on the calendar can be ready before. The engine passes the
+//! cycle of the event it is simulating, since every later event pops at or
+//! after it. An interval that ends at or before the floor can never
+//! constrain a slot again, so the calendar drops it; no interval is dropped
+//! on any other rule, so results equal those of a calendar that never
+//! forgets.
 
 use crate::packet::Packet;
 use crate::stats::NocStats;
@@ -27,11 +35,6 @@ use consim_trace::{EventClass, TraceEvent, TraceSink};
 use consim_types::{Cycle, SimError};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Busy intervals older than this (relative to the latest departure seen)
-/// are pruned; the engine's event skew is bounded by one transaction
-/// latency, far below this horizon.
-const PRUNE_HORIZON: u64 = 100_000;
 
 /// A reservation calendar: non-overlapping `(start, end)` busy intervals
 /// sorted by start, with abutting intervals coalesced.
@@ -51,9 +54,10 @@ const PRUNE_HORIZON: u64 = 100_000;
 ///   but the back-to-back queueing the engine produces under load collapses
 ///   into a handful of intervals instead of one per packet, which is what
 ///   kept the old formulation's linear scans hot.
-/// * The store is a ring buffer, so pruning expired intervals off the front
-///   costs only the intervals dropped — not a shift of everything behind
-///   them on every reservation.
+/// * Intervals that end at or before the caller's floor are dropped off
+///   the front, so the calendar holds only what can still constrain a
+///   slot. The store is a ring buffer, so that costs only the intervals
+///   dropped — not a shift of everything behind them on every reservation.
 ///
 /// # Examples
 ///
@@ -93,12 +97,22 @@ impl ReservationCalendar {
     }
 
     /// Reserves the earliest `busy`-cycle slot at or after `ready`; returns
-    /// its start. Intervals ending before `prune_before` are dropped.
-    pub fn reserve(&mut self, ready: u64, busy: u64, prune_before: u64) -> u64 {
-        // Prune stale intervals from the front (ends are sorted).
-        let keep_from = self.intervals.partition_point(|&(_, e)| e < prune_before);
-        if keep_from > 0 {
-            self.intervals.drain(..keep_from);
+    /// its start.
+    ///
+    /// `floor` is the caller's promise that no reservation on this calendar,
+    /// this one included, will ever again be ready before it: `ready >=
+    /// floor` now, and later calls pass a floor no lower. Intervals ending at
+    /// or before `floor` are dropped, which cannot change any start this or a
+    /// later call returns, since the slot search skips every
+    /// interval ending at or before its ready cycle.
+    pub fn reserve(&mut self, ready: u64, busy: u64, floor: u64) -> u64 {
+        debug_assert!(
+            ready >= floor,
+            "reservation ready at {ready} below floor {floor}"
+        );
+        // Ends are sorted, so the expired intervals are a prefix.
+        while self.intervals.front().is_some_and(|&(_, e)| e <= floor) {
+            self.intervals.pop_front();
         }
         let start = self.probe(ready, busy);
         let end = start + busy;
@@ -131,7 +145,7 @@ impl ReservationCalendar {
 ///
 /// let mut noc = ContentionModel::new(Mesh::new(4, 4)?, 1, 3);
 /// let p = Packet::control(NodeId::new(0), NodeId::new(3));
-/// let uncontended = noc.send(&p, Cycle::ZERO);
+/// let uncontended = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
 /// // 3 hops x (3-cycle router + 1-cycle link) = 12 cycles.
 /// assert_eq!(uncontended.raw(), 12);
 /// # Ok::<(), consim_types::SimError>(())
@@ -144,8 +158,6 @@ pub struct ContentionModel {
     links: Vec<ReservationCalendar>,
     /// Total busy cycles per link, for utilization reporting.
     link_busy: Vec<u64>,
-    /// Latest departure time seen (drives interval pruning).
-    latest_depart: u64,
     stats: NocStats,
     /// Optional trace sink for per-packet contention-stall events.
     trace: Option<Arc<dyn TraceSink>>,
@@ -160,7 +172,6 @@ impl ContentionModel {
             router_pipeline,
             links: vec![ReservationCalendar::default(); mesh.num_link_slots()],
             link_busy: vec![0; mesh.num_link_slots()],
-            latest_depart: 0,
             stats: NocStats::default(),
             trace: None,
         }
@@ -181,12 +192,13 @@ impl ContentionModel {
     /// Sends `packet` at `depart`; returns the cycle its tail flit arrives.
     ///
     /// Reserves link time along the packet's XY path, so other packets
-    /// through the same links observe queueing delay.
-    pub fn send(&mut self, packet: &Packet, depart: Cycle) -> Cycle {
+    /// through the same links observe queueing delay. `floor` is the
+    /// [`ReservationCalendar::reserve`] floor for every link on the path: no
+    /// packet sent now or later departs before it (`depart >= floor`), and
+    /// later sends pass a floor no lower.
+    pub fn send(&mut self, packet: &Packet, depart: Cycle, floor: Cycle) -> Cycle {
         let flits = packet.flits() as u64;
         self.stats.injected += 1;
-        self.latest_depart = self.latest_depart.max(depart.raw());
-        let prune_before = self.latest_depart.saturating_sub(PRUNE_HORIZON);
         if packet.src == packet.dst {
             // Local delivery still pays one router traversal.
             let arrival = depart + self.router_pipeline;
@@ -203,7 +215,7 @@ impl ContentionModel {
             // Head waits for the router pipeline, then for a link slot.
             let ready = (head + self.router_pipeline).raw();
             let busy = flits * self.link_latency;
-            let start = self.links[link].reserve(ready, busy, prune_before);
+            let start = self.links[link].reserve(ready, busy, floor.raw());
             stall_cycles += start - ready;
             self.link_busy[link] += busy;
             head = Cycle::new(start + self.link_latency);
@@ -273,7 +285,6 @@ impl ContentionModel {
             link.intervals.clear();
         }
         self.link_busy.fill(0);
-        self.latest_depart = 0;
         self.stats = NocStats::default();
     }
 }
@@ -313,7 +324,6 @@ impl Snapshot for ContentionModel {
     fn save(&self, w: &mut SectionBuf) {
         consim_snap::save_items(w, &self.links);
         w.put_u64_slice(&self.link_busy);
-        w.put_u64(self.latest_depart);
         self.stats.save(w);
     }
 
@@ -331,7 +341,6 @@ impl Snapshot for ContentionModel {
             ));
         }
         self.link_busy = busy;
-        self.latest_depart = r.get_u64()?;
         self.stats.restore(r)
     }
 }
@@ -350,7 +359,7 @@ mod tests {
         let mut noc = model();
         // node0 (0,0) -> node15 (3,3): 6 hops.
         let p = Packet::control(NodeId::new(0), NodeId::new(15));
-        let arrival = noc.send(&p, Cycle::ZERO);
+        let arrival = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         assert_eq!(arrival.raw(), 6 * (3 + 1));
         assert_eq!(
             arrival.raw(),
@@ -362,7 +371,7 @@ mod tests {
     fn data_packets_pay_serialization() {
         let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
-        let arrival = noc.send(&p, Cycle::ZERO);
+        let arrival = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         // 1 hop: 3 router + 1 link + 4 extra tail flits.
         assert_eq!(arrival.raw(), 3 + 1 + 4);
     }
@@ -371,15 +380,15 @@ mod tests {
     fn local_delivery_pays_router_only() {
         let mut noc = model();
         let p = Packet::data(NodeId::new(5), NodeId::new(5));
-        assert_eq!(noc.send(&p, Cycle::new(10)).raw(), 13);
+        assert_eq!(noc.send(&p, Cycle::new(10), Cycle::ZERO).raw(), 13);
     }
 
     #[test]
     fn second_packet_queues_behind_first() {
         let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
-        let first = noc.send(&p, Cycle::ZERO);
-        let second = noc.send(&p, Cycle::ZERO);
+        let first = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
+        let second = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         assert!(second > first, "contended packet should be slower");
         // First reserves the single link 0->1 for 5 flit-cycles starting at
         // cycle 3; second's head starts at 8.
@@ -392,9 +401,9 @@ mod tests {
         // departing earlier but simulated later must not queue behind it.
         let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
-        let future = noc.send(&p, Cycle::new(10_000));
+        let future = noc.send(&p, Cycle::new(10_000), Cycle::ZERO);
         assert_eq!(future.raw() - 10_000, 8);
-        let early = noc.send(&p, Cycle::ZERO);
+        let early = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         assert_eq!(early.raw(), 8, "early packet must use the free gap");
     }
 
@@ -405,11 +414,11 @@ mod tests {
         let ctrl = Packet::control(NodeId::new(0), NodeId::new(1));
         // Occupy [3, 8) and [10, 15): the 2-cycle gap fits a control packet
         // but not a 5-flit data packet.
-        noc.send(&data, Cycle::ZERO);
-        noc.send(&data, Cycle::new(7)); // ready at 10 -> [10, 15)
-        let ctrl_arrival = noc.send(&ctrl, Cycle::new(5)); // ready 8, gap [8,10)
+        noc.send(&data, Cycle::ZERO, Cycle::ZERO);
+        noc.send(&data, Cycle::new(7), Cycle::ZERO); // ready at 10 -> [10, 15)
+        let ctrl_arrival = noc.send(&ctrl, Cycle::new(5), Cycle::ZERO); // ready 8, gap [8,10)
         assert_eq!(ctrl_arrival.raw(), 9, "control fits the gap");
-        let data_arrival = noc.send(&data, Cycle::new(0)); // ready 3, busy 5
+        let data_arrival = noc.send(&data, Cycle::new(0), Cycle::ZERO); // ready 3, busy 5
         assert!(data_arrival.raw() > 15, "data must wait past both");
     }
 
@@ -418,8 +427,8 @@ mod tests {
         let mut noc = model();
         let a = Packet::data(NodeId::new(0), NodeId::new(1));
         let b = Packet::data(NodeId::new(14), NodeId::new(15));
-        let la = noc.send(&a, Cycle::ZERO);
-        let lb = noc.send(&b, Cycle::ZERO);
+        let la = noc.send(&a, Cycle::ZERO, Cycle::ZERO);
+        let lb = noc.send(&b, Cycle::ZERO, Cycle::ZERO);
         assert_eq!(la.raw(), lb.raw());
     }
 
@@ -427,34 +436,45 @@ mod tests {
     fn reservations_expire_in_time() {
         let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
-        let first = noc.send(&p, Cycle::ZERO);
+        let first = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         // Departing long after the first packet sees no contention.
-        let late = noc.send(&p, Cycle::new(1_000));
+        let late = noc.send(&p, Cycle::new(1_000), Cycle::ZERO);
         assert_eq!(late.raw() - 1_000, first.raw());
     }
 
     #[test]
     fn pruning_bounds_calendar_growth() {
+        // A clock that only moves forward is the floor; packets depart up
+        // to 2,000 cycles ahead of it, out of order.
         let mut noc = model();
-        let p = Packet::data(NodeId::new(0), NodeId::new(1));
-        for i in 0..50_000u64 {
-            noc.send(&p, Cycle::new(i * 20));
+        let p = Packet::data(NodeId::new(0), NodeId::new(3));
+        let mut rng = consim_types::SimRng::from_seed(0xF100);
+        let mut floor = 0u64;
+        let mut most = 0usize;
+        for i in 0..20_000 {
+            floor += rng.below(20);
+            let depart = floor + rng.below(2_000);
+            noc.send(&p, Cycle::new(depart), Cycle::new(floor));
+            for (link, cal) in noc.links.iter().enumerate() {
+                let first_end = cal.intervals.front().map_or(u64::MAX, |&(_, e)| e);
+                assert!(
+                    first_end > floor,
+                    "send {i}: link {link} keeps an interval ending at {first_end}, floor {floor}"
+                );
+                most = most.max(cal.intervals.len());
+            }
         }
-        let link = noc
-            .mesh
-            .link_index(NodeId::new(0), crate::topology::Direction::East);
-        assert!(
-            noc.links[link].intervals.len() < PRUNE_HORIZON as usize / 10,
-            "calendar must stay bounded: {}",
-            noc.links[link].intervals.len()
-        );
+        // Intervals are disjoint, at least 5 cycles long, and end within
+        // the 2,000-cycle lookahead plus queueing: a few hundred at most,
+        // after 20,000 reservations per link.
+        assert!(most < 1_000, "calendar must stay bounded: {most}");
     }
 
     #[test]
     fn utilization_accounting() {
         let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
-        noc.send(&p, Cycle::ZERO);
+        noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         assert!(noc.peak_link_utilization(10) >= 0.5 - 1e-9);
         assert!(noc.mean_link_utilization(10) > 0.0);
         noc.reset();
@@ -467,8 +487,13 @@ mod tests {
         noc.send(
             &Packet::control(NodeId::new(0), NodeId::new(2)),
             Cycle::ZERO,
+            Cycle::ZERO,
         );
-        noc.send(&Packet::data(NodeId::new(0), NodeId::new(1)), Cycle::ZERO);
+        noc.send(
+            &Packet::data(NodeId::new(0), NodeId::new(1)),
+            Cycle::ZERO,
+            Cycle::ZERO,
+        );
         assert_eq!(noc.stats().packets, 2);
         assert_eq!(noc.stats().injected, 2);
         assert_eq!(noc.stats().total_hops, 3);
@@ -481,7 +506,7 @@ mod tests {
         let mut noc = model();
         let p = Packet::data(NodeId::new(0), NodeId::new(5));
         for i in 0..20u64 {
-            noc.send(&p, Cycle::new(i * 3));
+            noc.send(&p, Cycle::new(i * 3), Cycle::ZERO);
         }
         let mut buf = SectionBuf::new();
         noc.save(&mut buf);
@@ -496,8 +521,8 @@ mod tests {
         // Future sends observe identical queueing.
         for i in 0..10u64 {
             assert_eq!(
-                back.send(&p, Cycle::new(60 + i)),
-                noc.send(&p, Cycle::new(60 + i)),
+                back.send(&p, Cycle::new(60 + i), Cycle::ZERO),
+                noc.send(&p, Cycle::new(60 + i), Cycle::ZERO),
                 "send {i}"
             );
         }
@@ -534,6 +559,7 @@ mod tests {
         noc.send(
             &Packet::control(NodeId::new(0), NodeId::new(1)),
             Cycle::ZERO,
+            Cycle::ZERO,
         );
         let mut buf = SectionBuf::new();
         noc.save(&mut buf);
@@ -553,9 +579,9 @@ mod tests {
         let mut noc = model();
         noc.set_trace_sink(Some(sink.clone()));
         let p = Packet::data(NodeId::new(0), NodeId::new(1));
-        noc.send(&p, Cycle::ZERO);
+        noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         assert!(sink.is_empty(), "uncontended send must not emit a stall");
-        noc.send(&p, Cycle::ZERO);
+        noc.send(&p, Cycle::ZERO, Cycle::ZERO);
         let events = sink.snapshot();
         assert_eq!(events.len(), 1);
         match &events[0] {

@@ -28,7 +28,8 @@
 //! let mesh = Mesh::new(4, 4)?;
 //! let mut noc = ContentionModel::new(mesh, 1, 3);
 //! let packet = Packet::data(NodeId::new(0), NodeId::new(15));
-//! let arrival = noc.send(&packet, Cycle::ZERO);
+//! // No send departs before the floor, the third argument: here, cycle 0.
+//! let arrival = noc.send(&packet, Cycle::ZERO, Cycle::ZERO);
 //! assert!(arrival > Cycle::ZERO);
 //! # Ok::<(), consim_types::SimError>(())
 //! ```

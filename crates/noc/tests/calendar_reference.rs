@@ -1,7 +1,6 @@
 //! Cycle-exact reference for the reservation calendar under both of its
 //! users: the mesh links of `ContentionModel::send`, and the engine's memory
-//! controllers, which call `ReservationCalendar::reserve` directly with a
-//! 200k-cycle prune horizon.
+//! controllers, which call `ReservationCalendar::reserve` directly.
 //!
 //! The reference keeps every reservation of a resource in one list, in the
 //! order they were made, and finds a slot by starting at the ready cycle and
@@ -9,6 +8,13 @@
 //! does. It has no sorting, binary search, interval merging or pruning, so
 //! it states the calendar's rule with none of the calendar's optimizations;
 //! the calendar must agree with it on every start cycle.
+//!
+//! Both checks drive the calendar the way the engine does: a clock that
+//! only moves forward is the floor of every booking, and bookings land out
+//! of order ahead of it, some up to 400k cycles ahead, far past any fixed
+//! pruning horizon behind the latest booking. The calendar forgets only
+//! what ended at or before the floor, so it must never disagree with a
+//! reference that forgets nothing.
 
 use consim_noc::{ContentionModel, Mesh, NocStats, Packet, ReservationCalendar};
 use consim_snap::{SectionBuf, SectionReader, Snapshot};
@@ -72,14 +78,17 @@ impl NaiveMesh {
     }
 }
 
+/// How far ahead of the clock the far-future bookings of both checks may
+/// land.
+const FAR_AHEAD: u64 = 400_000;
+
 /// Sends seeded out-of-order traffic through both models and requires the
 /// same arrival cycle for every packet. Most packets depart within `SKEW`
-/// cycles of a clock that moves in bursts; one in 50 departs 10k–60k
-/// cycles ahead, still inside the link calendars' 100k-cycle prune horizon,
-/// so pruning may never change a result. Halfway through, the model is
-/// replaced by a snapshot round-trip of itself.
+/// cycles of a clock that moves in bursts; one in 50 departs 10k–400k
+/// cycles ahead. The clock is every send's floor. Halfway through, the
+/// model is replaced by a snapshot round-trip of itself.
 fn check_mesh(seed: u64, mesh: Mesh, link_latency: u64, router_pipeline: u64) {
-    const SENDS: usize = 3_000;
+    const SENDS: usize = 4_000;
     const SKEW: u64 = 300;
     let ctx = format!(
         "seed {seed:#x}, {}x{} mesh, link {link_latency}, router {router_pipeline}",
@@ -102,12 +111,12 @@ fn check_mesh(seed: u64, mesh: Mesh, link_latency: u64, router_pipeline: u64) {
             assert_eq!(model.stats(), &naive.stats, "{ctx}: restored stats");
         }
         now += if rng.chance(1.0 / 40.0) {
-            1_000 + rng.below(4_000)
+            2_000 + rng.below(10_000)
         } else {
             rng.below(3)
         };
         let depart = if rng.chance(0.02) {
-            now + 10_000 + rng.below(50_000)
+            now + 10_000 + rng.below(FAR_AHEAD - 10_000)
         } else {
             now + rng.below(SKEW)
         };
@@ -119,13 +128,15 @@ fn check_mesh(seed: u64, mesh: Mesh, link_latency: u64, router_pipeline: u64) {
             Packet::control(src, dst)
         };
         let want = naive.send(&packet, depart);
-        let got = model.send(&packet, Cycle::new(depart)).raw();
+        let got = model
+            .send(&packet, Cycle::new(depart), Cycle::new(now))
+            .raw();
         assert_eq!(got, want, "{ctx}: send {i}, {packet} departing {depart}");
         last_arrival = last_arrival.max(want);
     }
     assert!(
-        now > 100_000,
-        "{ctx}: traffic must outlast the prune horizon"
+        now > FAR_AHEAD,
+        "{ctx}: the floor must pass far-future bookings, reached {now}"
     );
     assert_eq!(model.stats(), &naive.stats, "{ctx}: stats");
     let busy: Vec<u64> = naive
@@ -169,13 +180,12 @@ fn mesh_sends_match_naive_calendar() {
 
 /// Memory-controller bookings exactly as the engine makes them: a line
 /// transfer holds the controller for `memory_occupancy` cycles, a directory
-/// refill for a quarter of that, and each reservation prunes intervals
-/// ending more than 200k cycles before its ready time. Ready times trail a
-/// bursty clock by up to one transaction latency, with occasional bookings
-/// up to 150k cycles ahead, and the run spans several prune horizons.
+/// refill for a quarter of that, and each reservation passes the clock as
+/// its floor. Ready times trail a bursty clock by up to one transaction
+/// latency, with occasional bookings up to 400k cycles ahead, and the clock
+/// runs past twice that distance.
 #[test]
-fn memory_controller_bookings_match_naive_calendar_across_prune_horizon() {
-    const PRUNE_HORIZON: u64 = 200_000;
+fn memory_controller_bookings_match_naive_calendar_far_ahead_of_the_floor() {
     for (case, occupancy) in [30u64, 1, 45].into_iter().enumerate() {
         let mut rng = SimRng::from_seed(0x3E3C_0000 + case as u64);
         let mut calendars = vec![ReservationCalendar::default(); 4];
@@ -188,7 +198,7 @@ fn memory_controller_bookings_match_naive_calendar_across_prune_horizon() {
                 rng.below(8)
             };
             let ready = if rng.chance(0.01) {
-                now + 20_000 + rng.below(130_000)
+                now + 20_000 + rng.below(FAR_AHEAD - 20_000)
             } else {
                 now + rng.below(2_000)
             };
@@ -200,15 +210,15 @@ fn memory_controller_bookings_match_naive_calendar_across_prune_horizon() {
             let mc = rng.index(calendars.len());
             let want = earliest_free(&naive[mc], ready, len);
             naive[mc].push((want, want + len));
-            let got = calendars[mc].reserve(ready, len, ready.saturating_sub(PRUNE_HORIZON));
+            let got = calendars[mc].reserve(ready, len, now);
             assert_eq!(
                 got, want,
                 "occupancy {occupancy}: booking {i} on mc{mc}, {len} cycles ready at {ready}"
             );
         }
         assert!(
-            now > 3 * PRUNE_HORIZON,
-            "occupancy {occupancy}: bookings must span several prune horizons, reached {now}"
+            now > 2 * FAR_AHEAD,
+            "occupancy {occupancy}: the floor must pass far-future bookings, reached {now}"
         );
     }
 }
@@ -228,7 +238,7 @@ fn hotspot_flows_are_slower_than_disjoint_flows() {
         let mut total = 0u64;
         for _ in 0..4 {
             for p in packets {
-                total += noc.send(p, Cycle::ZERO).raw();
+                total += noc.send(p, Cycle::ZERO, Cycle::ZERO).raw();
             }
         }
         total as f64 / (4 * packets.len()) as f64

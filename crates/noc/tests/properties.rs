@@ -33,7 +33,8 @@ fn contention_arrivals_monotone() {
         let mut last_same_route: std::collections::HashMap<(NodeId, NodeId), Cycle> =
             std::collections::HashMap::new();
         for (p, t) in packets.iter().zip(departs) {
-            let arrival = noc.send(p, Cycle::new(t));
+            // Departures are sorted, so each one is a floor for the rest.
+            let arrival = noc.send(p, Cycle::new(t), Cycle::new(t));
             assert!(arrival.raw() >= t);
             // Same-route FIFO: a later departure on the identical route
             // cannot overtake (same links, same order).
@@ -54,7 +55,7 @@ fn contention_never_beats_base() {
         let mut noc = ContentionModel::new(mesh, 1, 3);
         for _ in 0..1 + rng.index(60) {
             let p = random_packet(&mut rng);
-            let arrival = noc.send(&p, Cycle::ZERO);
+            let arrival = noc.send(&p, Cycle::ZERO, Cycle::ZERO);
             let base = noc.base_latency(p.src, p.dst, p.flits());
             assert!(arrival.raw() >= base, "{} < {}", arrival.raw(), base);
         }

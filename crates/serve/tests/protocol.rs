@@ -8,7 +8,7 @@ use consim::persist;
 use consim_serve::daemon::{Daemon, DaemonConfig};
 use consim_serve::net::Endpoint;
 use consim_serve::proto::{read_frame, read_hello, write_frame, write_hello, Response, MAGIC};
-use consim_serve::{Client, JobState, StreamFrame};
+use consim_serve::{Client, JobState, ServeError, StreamFrame};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -61,16 +61,34 @@ fn test_config(seed: u64) -> consim::engine::SimulationConfig {
     builder.build().unwrap()
 }
 
-/// Polls `digest` until it completes and returns its outcome bytes.
+/// How long any test waits for a job to finish or a stream frame to
+/// arrive. A job that never reaches a terminal state fails the test after
+/// this instead of hanging it.
+const WAIT: Duration = Duration::from_secs(120);
+
+/// Polls `digest` until it completes and returns its outcome bytes; panics
+/// if it is still pending after [`WAIT`].
 fn poll_completed(client: &mut Client, digest: u64) -> Vec<u8> {
+    let deadline = Instant::now() + WAIT;
     loop {
         let reply = client.status(digest).unwrap();
         match reply.state {
             JobState::Completed => return reply.outcome_bytes.unwrap(),
-            JobState::Pending => std::thread::sleep(Duration::from_millis(20)),
-            other => panic!("job should complete, got {other:?}"),
+            JobState::Pending => {
+                assert!(
+                    Instant::now() < deadline,
+                    "job {digest:016x} still pending after {WAIT:?}"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("job {digest:016x} should complete, got {other:?}"),
         }
     }
+}
+
+/// Fails a test whose subscription went silent for [`WAIT`].
+fn no_frame(err: ServeError) -> StreamFrame {
+    panic!("no stream frame within {WAIT:?}: {err}")
 }
 
 /// The daemon must keep answering a well-behaved client after each kind
@@ -263,11 +281,12 @@ fn subscribe_streams_live_epoch_events() {
     let endpoint = daemon.endpoint().clone();
 
     let mut client = Client::connect(&endpoint).unwrap();
+    client.set_timeout(Some(WAIT)).unwrap();
     let ack = client.submit(0, &test_config(23)).unwrap();
     client.subscribe(ack.digest).unwrap();
     let mut events = 0usize;
     let done = loop {
-        match client.next_stream_frame().unwrap() {
+        match client.next_stream_frame().unwrap_or_else(no_frame) {
             StreamFrame::Event(json) => {
                 assert!(json.starts_with('{'), "events are JSON objects: {json}");
                 events += 1;
@@ -317,9 +336,9 @@ fn subscriber_hanging_up_mid_run_leaves_a_qos_job_whole() {
     let ack = client.submit(0, &qos).unwrap();
     {
         let mut sub = Client::connect(&endpoint).unwrap();
-        sub.set_timeout(Some(Duration::from_secs(120))).unwrap();
+        sub.set_timeout(Some(WAIT)).unwrap();
         sub.subscribe(ack.digest).unwrap();
-        match sub.next_stream_frame().unwrap() {
+        match sub.next_stream_frame().unwrap_or_else(no_frame) {
             StreamFrame::Event(_) => {}
             StreamFrame::Done { state, .. } => {
                 panic!("the QoS job ended before streaming: {state:?}")
@@ -327,21 +346,7 @@ fn subscriber_hanging_up_mid_run_leaves_a_qos_job_whole() {
         }
         // Dropping `sub` hangs up mid-run.
     }
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let served = loop {
-        let reply = client.status(ack.digest).unwrap();
-        match reply.state {
-            JobState::Completed => break reply.outcome_bytes.unwrap(),
-            JobState::Pending => {
-                assert!(
-                    Instant::now() < deadline,
-                    "the QoS job was still pending 120 s after its subscriber hung up"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("the QoS job must complete, got {other:?}"),
-        }
-    };
+    let served = poll_completed(&mut client, ack.digest);
     let direct = Simulation::new(qos).unwrap().run().unwrap();
     assert_eq!(served, persist::outcome_to_bytes(&direct).unwrap());
     client.ping().unwrap();
@@ -363,10 +368,11 @@ fn cancel_terminates_and_notifies_subscribers() {
     }
     let target = *digests.last().unwrap();
     let mut sub = Client::connect(&endpoint).unwrap();
+    sub.set_timeout(Some(WAIT)).unwrap();
     sub.subscribe(target).unwrap();
     client.cancel(target).unwrap();
     let state = loop {
-        match sub.next_stream_frame().unwrap() {
+        match sub.next_stream_frame().unwrap_or_else(no_frame) {
             StreamFrame::Event(_) => {}
             StreamFrame::Done { state, .. } => break state,
         }

@@ -85,6 +85,11 @@ pub const MAGIC: [u8; 4] = *b"CSNP";
 ///   replaying the rescheduling epochs; the next rescheduling boundary is
 ///   a plain cycle stamp (`u64::MAX` when off) instead of an optional one.
 ///   A v5 checkpoint is rejected as [`SnapshotErrorKind::BadVersion`].
+/// * 7 — checkpoints only: the NoC section drops the latest departure
+///   cycle, which only drove the link calendars' fixed pruning horizon;
+///   calendars now prune at the floor the engine passes with each booking
+///   and store nothing for it. A v6 checkpoint is rejected as
+///   [`SnapshotErrorKind::BadVersion`].
 pub const VERSION: u32 = 4;
 
 /// Format version of engine checkpoints (`Simulation::checkpoint`).
@@ -94,7 +99,7 @@ pub const VERSION: u32 = 4;
 /// byte of an outcome record, whose digests callers pin. A checkpoint
 /// of any other version is rejected as [`SnapshotErrorKind::BadVersion`];
 /// runs are deterministic, so its owner can re-run the job instead.
-pub const CHECKPOINT_VERSION: u32 = 6;
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// FNV-1a hash of a byte slice — the section checksum function.
 ///
