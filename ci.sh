@@ -36,11 +36,24 @@ cargo test -q --manifest-path perfbench/Cargo.toml
 echo "== differential oracle smoke (consim-check, fixed seed) =="
 # The generator draws dynamic-repartitioning cases at ~30% and lifecycle
 # churn at ~30%, so this smoke covers the QoS controller and the
-# birth–death/migration machinery against the naive mirror.
+# birth–death/migration machinery against the naive mirror. About half
+# the cases keep an LRU LLC and a quarter each draw tree-PLRU and Random
+# (248, 118 and 134 of these 500), and ~15% grow to 32 or 64 cores (44
+# and 37 here), so every LLC policy, static and dynamic way partitions
+# under each, and the widest machines are checked way for way.
 cargo run --release -q -p consim-check --bin fuzz -- --cases 500 --seed 7
 
 echo "== QoS mutation self-test (IgnoreRepartition must be caught) =="
 cargo test --release -q -p consim-check ignore_repartition_mutation_is_detected
+
+echo "== way-mask mutation self-test (IgnoreWayQuotas must be caught) =="
+cargo test --release -q -p consim-check ignore_way_quotas_mutation_is_detected
+
+echo "== tree-PLRU mutation self-test (StalePlruFill must be caught) =="
+cargo test --release -q -p consim-check stale_plru_fill_mutation_is_detected
+
+echo "== Random-victim mutation self-test (UnmaskedRandomVictim must be caught) =="
+cargo test --release -q -p consim-check unmasked_random_victim_mutation_is_detected
 
 echo "== churn mutation self-tests (IgnoreRetire, SkipMigrationInvalidation) =="
 cargo test --release -q -p consim-check ignore_retire_mutation_is_detected

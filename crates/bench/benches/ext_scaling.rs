@@ -57,6 +57,7 @@ fn main() {
             SharingDegree::SharedBy(4),
         )
         .expect("consolidated run");
+    let mut slowdowns = Vec::new();
     for kind in WorkloadKind::PAPER_SET {
         let base = runner
             .isolated(kind, SchedulingPolicy::Affinity, SharingDegree::FullyShared)
@@ -68,10 +69,15 @@ fn main() {
         let missrate = run.mean_over_kind(kind, |v| v.llc_miss_rate.mean) * 100.0;
         let misslat = run.mean_over_kind(kind, |v| v.miss_latency.mean);
         table.row(kind.name(), &[slowdown, missrate, misslat]);
+        slowdowns.push((slowdown, kind.name()));
     }
     println!("{table}");
-    println!(
-        "Shape check: the 16-core ordering must persist at 32 cores —\n\
-         TPC-H least affected, TPC-W / SPECjbb most."
-    );
+    // The order as measured, for comparison with the 16-core figures,
+    // where TPC-H is the least affected.
+    slowdowns.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let order: Vec<String> = slowdowns
+        .iter()
+        .map(|(slowdown, name)| format!("{name} {slowdown:.3}"))
+        .collect();
+    println!("Slowdown order, most affected first: {}", order.join(" > "));
 }

@@ -16,7 +16,8 @@ use consim::engine::SimulationConfig;
 use consim_cache::ReplacementPolicy;
 use consim_sched::SchedulingPolicy;
 use consim_types::config::{
-    CacheGeometry, ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfig, SharingDegree,
+    CacheGeometry, ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfigBuilder,
+    SharingDegree, MAX_CORES,
 };
 use consim_types::rng::SimRng;
 use consim_types::SimError;
@@ -56,6 +57,7 @@ pub struct FuzzCase {
     pub l1_ways: usize,
     pub llc_bank_sets: usize,
     pub llc_ways: usize,
+    pub llc_replacement: ReplacementPolicy,
     pub llc_partitioning: LlcPartitioning,
     pub memory_controllers: usize,
     pub directory_cache_entries: usize,
@@ -75,6 +77,12 @@ pub struct FuzzCase {
 const CORE_CHOICES: &[usize] = &[1, 1, 2, 2, 4, 4, 8, 16];
 const SET_CHOICES: &[usize] = &[1, 1, 2, 4, 8];
 const WAY_CHOICES: &[usize] = &[1, 1, 2, 4];
+const LLC_POLICIES: &[ReplacementPolicy] = &[
+    ReplacementPolicy::Lru,
+    ReplacementPolicy::Lru,
+    ReplacementPolicy::TreePlru,
+    ReplacementPolicy::Random,
+];
 const POLICIES: &[SchedulingPolicy] = &[
     SchedulingPolicy::RoundRobin,
     SchedulingPolicy::Affinity,
@@ -133,6 +141,7 @@ impl FuzzCase {
             l1_ways: pick(&mut rng, WAY_CHOICES),
             llc_bank_sets: pick(&mut rng, SET_CHOICES),
             llc_ways: pick(&mut rng, WAY_CHOICES),
+            llc_replacement: ReplacementPolicy::Lru,
             llc_partitioning: LlcPartitioning::None,
             memory_controllers: 1 + rng.index(num_cores),
             directory_cache_entries: 8 * (1 + rng.index(8)),
@@ -209,6 +218,24 @@ impl FuzzCase {
                 migration_targets,
             });
         }
+        // The LLC policy and a rare wide machine come from a stream of
+        // their own, so every other field draws as it would without them:
+        // a case that keeps LRU at 16 cores or fewer is what the main
+        // stream alone generates. About half the cases keep LRU, a quarter
+        // each take tree-PLRU and Random, and 15% grow to 32 or 64 cores
+        // with every VM's threads scaled to match.
+        let mut space = SimRng::from_seed(case_seed).derive("check/machine-space");
+        case.llc_replacement = pick(&mut space, LLC_POLICIES);
+        if space.chance(0.15) {
+            let num_cores = pick(&mut space, &[32, MAX_CORES]);
+            case.num_cores = num_cores;
+            case.mesh_width = 1 + space.index(num_cores);
+            case.cores_per_bank = 1 + space.index(num_cores);
+            case.memory_controllers = 1 + space.index(num_cores);
+            for vm in &mut case.vms {
+                vm.threads *= num_cores / 16;
+            }
+        }
         case.canonicalize();
         case
     }
@@ -263,7 +290,7 @@ impl FuzzCase {
     /// Clamps every field into a valid configuration. Idempotent; called
     /// after generation and after every shrink transform.
     pub fn canonicalize(&mut self) {
-        self.num_cores = self.num_cores.clamp(1, 64);
+        self.num_cores = self.num_cores.clamp(1, MAX_CORES);
         if !self.num_cores.is_power_of_two() {
             self.num_cores = self.num_cores.next_power_of_two() / 2;
         }
@@ -278,6 +305,10 @@ impl FuzzCase {
             &mut self.llc_ways,
         ] {
             *field = (*field).clamp(1, 64);
+        }
+        // Tree-PLRU needs a power-of-two LLC way count.
+        if self.llc_replacement == ReplacementPolicy::TreePlru && !self.llc_ways.is_power_of_two() {
+            self.llc_replacement = ReplacementPolicy::Lru;
         }
         self.memory_controllers = self.memory_controllers.clamp(1, self.num_cores);
         // The directory cache is 8-way: capacity must be a multiple of 8.
@@ -410,51 +441,6 @@ impl FuzzCase {
         }
     }
 
-    /// The machine configuration this case describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if a canonicalized case still
-    /// fails machine validation (a generator bug — canonicalize should
-    /// prevent it).
-    pub fn machine(&self) -> Result<MachineConfig, SimError> {
-        let banks = self.num_cores / self.cores_per_bank;
-        let sharing = if self.cores_per_bank == self.num_cores {
-            SharingDegree::FullyShared
-        } else if self.cores_per_bank == 1 {
-            SharingDegree::Private
-        } else {
-            SharingDegree::SharedBy(self.cores_per_bank)
-        };
-        let mut b = consim_types::config::MachineConfigBuilder::new();
-        b.num_cores(self.num_cores)
-            .mesh_width(self.mesh_width)
-            .l0(CacheGeometry::new(
-                self.l0_sets * self.l0_ways * 64,
-                self.l0_ways,
-                1,
-            )?)
-            .l1(CacheGeometry::new(
-                self.l1_sets * self.l1_ways * 64,
-                self.l1_ways,
-                2,
-            )?)
-            .llc(CacheGeometry::new(
-                banks * self.llc_bank_sets * self.llc_ways * 64,
-                self.llc_ways,
-                6,
-            )?)
-            .sharing(sharing)
-            .llc_partitioning(self.llc_partitioning.clone())
-            .memory_latency(self.memory_latency)
-            .num_memory_controllers(self.memory_controllers)
-            .link_latency(self.link_latency)
-            .directory_cache_entries(self.directory_cache_entries)
-            .instructions_per_memory_op(self.instructions_per_memory_op)
-            .churn(self.churn.clone());
-        b.build()
-    }
-
     /// Builds the per-VM workload profiles. Knob combinations that an
     /// individual profile rejects (e.g. a handoff region larger than the
     /// shared region) are degraded feature-by-feature rather than
@@ -509,13 +495,48 @@ impl FuzzCase {
     /// Propagates machine or simulation validation failures; a
     /// canonicalized case should never produce one.
     pub fn build(&self) -> Result<SimulationConfig, SimError> {
+        let banks = self.num_cores / self.cores_per_bank;
+        let sharing = if self.cores_per_bank == self.num_cores {
+            SharingDegree::FullyShared
+        } else if self.cores_per_bank == 1 {
+            SharingDegree::Private
+        } else {
+            SharingDegree::SharedBy(self.cores_per_bank)
+        };
+        let mut machine = MachineConfigBuilder::new();
+        machine
+            .num_cores(self.num_cores)
+            .mesh_width(self.mesh_width)
+            .l0(CacheGeometry::new(
+                self.l0_sets * self.l0_ways * 64,
+                self.l0_ways,
+                1,
+            )?)
+            .l1(CacheGeometry::new(
+                self.l1_sets * self.l1_ways * 64,
+                self.l1_ways,
+                2,
+            )?)
+            .llc(CacheGeometry::new(
+                banks * self.llc_bank_sets * self.llc_ways * 64,
+                self.llc_ways,
+                6,
+            )?)
+            .sharing(sharing)
+            .llc_partitioning(self.llc_partitioning.clone())
+            .memory_latency(self.memory_latency)
+            .num_memory_controllers(self.memory_controllers)
+            .link_latency(self.link_latency)
+            .directory_cache_entries(self.directory_cache_entries)
+            .instructions_per_memory_op(self.instructions_per_memory_op)
+            .churn(self.churn.clone());
         let mut b = SimulationConfig::builder();
-        b.machine(self.machine()?)
+        b.machine(machine.build()?)
             .policy(self.policy)
             .seed(self.sim_seed)
             .refs_per_vm(self.refs_per_vm)
             .warmup_refs_per_vm(self.warmup_refs_per_vm)
-            .llc_replacement(ReplacementPolicy::Lru)
+            .llc_replacement(self.llc_replacement)
             .prewarm_llc(self.prewarm_llc)
             .audit(true);
         for profile in self.profiles() {
@@ -544,6 +565,7 @@ impl FuzzCase {
             + cache_lines * 5
             + u64::from(self.prewarm_llc) * 1_000
             + u64::from(self.reschedule_every.is_some()) * 1_000
+            + u64::from(self.llc_replacement != ReplacementPolicy::Lru) * 500
             // Churn costs the most of the feature knobs so the shrinker's
             // drop-churn-first candidate is always a strict size decrease.
             + u64::from(self.churn.is_some()) * 1_500
@@ -635,6 +657,45 @@ mod tests {
                 c.case_seed
             );
         }
+    }
+
+    #[test]
+    fn machine_space_covers_every_llc_policy_and_wide_machines() {
+        use ReplacementPolicy::{Lru, Random, TreePlru};
+        let cases: Vec<FuzzCase> = (0..300).map(FuzzCase::generate).collect();
+        let some_build = |name: &str, wanted: &dyn Fn(&FuzzCase) -> bool| {
+            let matching: Vec<&FuzzCase> = cases.iter().filter(|c| wanted(c)).collect();
+            assert!(!matching.is_empty(), "no generated case has {name}");
+            for c in matching {
+                c.build()
+                    .unwrap_or_else(|e| panic!("{name} seed {} does not build: {e}", c.case_seed));
+            }
+        };
+        for policy in [Lru, TreePlru, Random] {
+            some_build(&format!("{policy:?}"), &|c| c.llc_replacement == policy);
+        }
+        some_build("a static partition, non-LRU", &|c| {
+            c.llc_replacement != Lru
+                && matches!(
+                    c.llc_partitioning,
+                    LlcPartitioning::EqualWays | LlcPartitioning::ExplicitWays(_)
+                )
+        });
+        some_build("a dynamic partition, non-LRU", &|c| {
+            c.llc_replacement != Lru && matches!(c.llc_partitioning, LlcPartitioning::Dynamic(_))
+        });
+        for cores in [32, MAX_CORES] {
+            some_build(&format!("{cores} cores"), &|c| c.num_cores == cores);
+        }
+        // Tree-PLRU survives only on a power-of-two LLC.
+        let mut odd = cases
+            .iter()
+            .find(|c| c.llc_replacement == TreePlru)
+            .unwrap()
+            .clone();
+        odd.llc_ways = 3;
+        odd.canonicalize();
+        assert_eq!(odd.llc_replacement, Lru);
     }
 
     #[test]

@@ -79,28 +79,6 @@ impl StepObserver for DiffObserver {
     }
 }
 
-/// Builds the reference model for a case: the lifecycle mirror is attached
-/// whenever the machine carries a churn policy, and the mutation (if any)
-/// installed last.
-fn model_for(
-    case: &FuzzCase,
-    machine: &consim_types::config::MachineConfig,
-    mutation: Option<Mutation>,
-) -> RefModel {
-    let mut model = RefModel::new(machine, case.vms.len());
-    if let Some(policy) = machine.churn.clone() {
-        model = model.with_churn(
-            policy,
-            case.sim_seed,
-            case.vms.iter().map(|v| v.threads).collect(),
-        );
-    }
-    if let Some(m) = mutation {
-        model = model.with_mutation(m);
-    }
-    model
-}
-
 /// Runs one case differentially. `mutation`, when set, installs a
 /// deliberate bug in the *model* (mutation testing — the check must fail).
 pub fn run_case(case: &FuzzCase, mutation: Option<Mutation>) -> CaseOutcome {
@@ -108,18 +86,14 @@ pub fn run_case(case: &FuzzCase, mutation: Option<Mutation>) -> CaseOutcome {
         Ok(c) => c,
         Err(e) => return CaseOutcome::EngineError(format!("config rejected: {e}")),
     };
+    let mut observer = DiffObserver {
+        model: RefModel::new(&config).with_mutation(mutation),
+        steps: 0,
+        failure: None,
+    };
     let sim = match Simulation::new(config) {
         Ok(s) => s,
         Err(e) => return CaseOutcome::EngineError(format!("construction failed: {e}")),
-    };
-    let machine = match case.machine() {
-        Ok(m) => m,
-        Err(e) => return CaseOutcome::EngineError(format!("machine rejected: {e}")),
-    };
-    let mut observer = DiffObserver {
-        model: model_for(case, &machine, mutation),
-        steps: 0,
-        failure: None,
     };
     let outcome = match sim.run_with(Some(&mut observer)) {
         Ok(o) => o,
@@ -164,12 +138,8 @@ pub fn run_case_resumed(case: &FuzzCase, mutation: Option<Mutation>) -> CaseOutc
         .derive("check/resume")
         .below(total);
 
-    let machine = match case.machine() {
-        Ok(m) => m,
-        Err(e) => return CaseOutcome::EngineError(format!("machine rejected: {e}")),
-    };
     let mut observer = DiffObserver {
-        model: model_for(case, &machine, mutation),
+        model: RefModel::new(&config).with_mutation(mutation),
         steps: 0,
         failure: None,
     };
@@ -339,7 +309,15 @@ fn check_final_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consim_cache::ReplacementPolicy;
     use consim_sched::SchedulingPolicy;
+    use consim_types::config::LlcPartitioning;
+
+    const LLC_POLICIES: [ReplacementPolicy; 3] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::TreePlru,
+        ReplacementPolicy::Random,
+    ];
 
     #[test]
     fn smoke_cases_pass() {
@@ -355,23 +333,33 @@ mod tests {
 
     #[test]
     fn paper_shaped_case_passes() {
-        // A 16-core case with multiple VMs, closer to the paper's machine.
-        let mut case = FuzzCase::generate(1);
-        case.num_cores = 16;
-        case.mesh_width = 4;
-        case.cores_per_bank = 4;
-        case.l1_sets = 8;
-        case.l1_ways = 4;
-        case.llc_bank_sets = 8;
-        case.llc_ways = 4;
-        case.refs_per_vm = 400;
-        case.warmup_refs_per_vm = 100;
-        case.canonicalize();
-        let outcome = run_case(&case, None);
-        assert!(
-            matches!(outcome, CaseOutcome::Pass { .. }),
-            "{outcome:?}\ncase: {case:?}"
-        );
+        // A 16-core case with multiple VMs on shared-4-way LLC banks, the
+        // shape of the replacement-policy ablation, under each LLC policy,
+        // straight and across a checkpoint seam.
+        for policy in LLC_POLICIES {
+            let mut case = FuzzCase::generate(1);
+            case.num_cores = 16;
+            case.mesh_width = 4;
+            case.cores_per_bank = 4;
+            case.l1_sets = 8;
+            case.l1_ways = 4;
+            case.llc_bank_sets = 8;
+            case.llc_ways = 4;
+            case.llc_replacement = policy;
+            case.refs_per_vm = 400;
+            case.warmup_refs_per_vm = 100;
+            case.canonicalize();
+            assert_eq!(case.llc_replacement, policy);
+            for (seam, outcome) in [
+                ("straight", run_case(&case, None)),
+                ("resumed", run_case_resumed(&case, None)),
+            ] {
+                assert!(
+                    matches!(outcome, CaseOutcome::Pass { .. }),
+                    "{policy:?} {seam}: {outcome:?}\ncase: {case:?}"
+                );
+            }
+        }
     }
 
     /// Degenerate shapes pinned from fuzzing sessions: each of these hit a
@@ -428,8 +416,6 @@ mod tests {
 
     #[test]
     fn partitioned_cases_pass() {
-        use consim_types::config::LlcPartitioning;
-
         // A paper-shaped machine with an uneven explicit split under bank
         // contention, prewarmed so the masked prewarm path is covered too.
         let mut split = FuzzCase::generate(5);
@@ -450,13 +436,25 @@ mod tests {
             "canonicalize must keep a valid split: {split:?}"
         );
 
+        // The same split under the other two LLC policies: victims chosen
+        // inside each VM's ways by the tree and by the per-set streams.
+        let mut plru = split.clone();
+        plru.llc_replacement = ReplacementPolicy::TreePlru;
+        let mut random = split.clone();
+        random.llc_replacement = ReplacementPolicy::Random;
+
         // Equal-ways across every generated partitionable shape.
         let mut equal = FuzzCase::generate(6);
         equal.llc_ways = 4;
         equal.llc_partitioning = LlcPartitioning::EqualWays;
         equal.canonicalize();
 
-        for (name, case) in [("split", split), ("equal", equal)] {
+        for (name, case) in [
+            ("split", split),
+            ("split tree-PLRU", plru),
+            ("split Random", random),
+            ("equal", equal),
+        ] {
             let outcome = run_case(&case, None);
             assert!(
                 matches!(outcome, CaseOutcome::Pass { .. }),
@@ -486,7 +484,7 @@ mod tests {
 
     #[test]
     fn dynamic_cases_pass() {
-        use consim_types::config::{DynamicPolicy, LlcPartitioning};
+        use consim_types::config::DynamicPolicy;
 
         // A pinned dynamic case tuned so decisions fire and ways move: a
         // short epoch, no dead-band, two VMs with very different appetites
@@ -542,7 +540,6 @@ mod tests {
         // The seam must round-trip the controller mirror too: checkpoint a
         // dynamic case mid-run (sometimes mid-epoch, sometimes right on a
         // boundary, wherever the seeded cut lands) and keep agreeing.
-        use consim_types::config::LlcPartitioning;
         let dynamic: Vec<FuzzCase> = (0..200)
             .map(FuzzCase::generate)
             .filter(|c| matches!(c.llc_partitioning, LlcPartitioning::Dynamic(_)))
@@ -698,7 +695,6 @@ mod tests {
         // controller moves ways must diverge — symmetrically, an engine
         // that silently dropped the QoS feedback loop would be caught the
         // same way. Only dynamic multi-VM cases can move ways at all.
-        use consim_types::config::LlcPartitioning;
         let caught = (0..400)
             .map(FuzzCase::generate)
             .filter(|c| {
@@ -790,14 +786,51 @@ mod tests {
                 .any(|seed| run_case(&FuzzCase::generate(seed), Some(mutation)).is_failure());
             assert!(caught, "{mutation:?} was never detected");
         }
-        // The quota mutation only diverges on partitioned cases, so give
-        // it the generator's partitioned stream.
-        let caught = (0..200)
+    }
+
+    /// Asserts that `mutation` fails one of the first 20 generated cases
+    /// `applies` selects, and that its first failure is a divergence: a
+    /// mutated model that panics or fails the engine shows nothing about
+    /// the check.
+    fn assert_diverges(mutation: Mutation, applies: impl Fn(&FuzzCase) -> bool) {
+        let failure = (0..1_000)
             .map(FuzzCase::generate)
-            .filter(|c| c.llc_partitioning != consim_types::config::LlcPartitioning::None)
+            .filter(applies)
             .take(20)
-            .any(|case| run_case(&case, Some(Mutation::IgnoreWayQuotas)).is_failure());
-        assert!(caught, "IgnoreWayQuotas was never detected");
+            .map(|case| run_case(&case, Some(mutation)))
+            .find(CaseOutcome::is_failure);
+        assert!(
+            matches!(failure, Some(CaseOutcome::Divergence(_))),
+            "{mutation:?}: {failure:?}"
+        );
+    }
+
+    #[test]
+    fn ignore_way_quotas_mutation_is_detected() {
+        // Fills through the full mask instead of the VM's ways: static and
+        // dynamic partitions under any LLC policy.
+        assert_diverges(Mutation::IgnoreWayQuotas, |c| {
+            c.llc_partitioning != LlcPartitioning::None
+        });
+    }
+
+    #[test]
+    fn stale_plru_fill_mutation_is_detected() {
+        // A fill that leaves the tree pointing at the way it just took
+        // can make the next victim the line just filled.
+        assert_diverges(Mutation::StalePlruFill, |c| {
+            c.llc_replacement == ReplacementPolicy::TreePlru
+        });
+    }
+
+    #[test]
+    fn unmasked_random_victim_mutation_is_detected() {
+        // A Random victim drawn over every occupied way can be another
+        // VM's line outside the filling VM's mask.
+        assert_diverges(Mutation::UnmaskedRandomVictim, |c| {
+            c.llc_replacement == ReplacementPolicy::Random
+                && c.llc_partitioning != LlcPartitioning::None
+        });
     }
 
     #[test]

@@ -16,21 +16,25 @@
 //! principles. No NoC timing, no memory-controller calendars, no
 //! statistics plumbing — time does not exist in this model, only contents.
 //!
-//! The cache, `NaiveCache`, is also the one reference model of
-//! `consim_cache::SetAssocCache`: besides the LRU the machine model uses,
-//! it implements tree-PLRU and Random victims, and a differential test
-//! below drives both caches through the same seeded streams.
+//! The model is built from the same [`SimulationConfig`] the engine runs,
+//! so it holds the engine's machine as configured: up to 64 cores, LRU
+//! private caches, and LLC banks under the configured replacement policy
+//! whose fills, when the LLC is way-partitioned, stay inside the filling
+//! VM's way mask. Its cache, `NaiveCache`, is also the one reference model
+//! of `consim_cache::SetAssocCache`: a differential test below drives both
+//! caches through the same seeded streams under every policy.
 //!
 //! The model intentionally mirrors the engine's *tie-breaking* rules, which
 //! are part of the simulated machine's definition (nearest clean supplier,
 //! nearest replica bank, first-minimal on equal distance). See DESIGN.md §8.
 
 use consim::churn::{ChurnAction, ChurnDecision};
+use consim::engine::SimulationConfig;
 use consim::metrics::MissSource;
 use consim::observe::{AccessStep, StepOutcome};
 use consim::qos::{RepartitionDecision, VmClass};
 use consim_cache::{LineState, ReplacementPolicy};
-use consim_types::config::{ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfig};
+use consim_types::config::{CacheGeometry, ChurnPolicy, DynamicPolicy, LlcPartitioning};
 use consim_types::rng::SimRng;
 use consim_types::{BankId, BlockAddr, CoreId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,8 +52,8 @@ pub enum Mutation {
     IgnoreOwners,
     /// Never downgrade a dirty owner on a read (leave it Modified).
     SkipOwnerDowngrade,
-    /// Fill the LLC without honoring the per-VM way quotas (partitioned
-    /// configurations only — a no-op divergence otherwise).
+    /// Fill the LLC through the full way mask instead of the filling VM's
+    /// (partitioned configurations only — a no-op otherwise).
     IgnoreWayQuotas,
     /// Complete a write that hits a *Shared* private line as a plain hit,
     /// skipping the demotion to the upgrade transaction — the exact bug a
@@ -74,6 +78,13 @@ pub enum Mutation {
     /// a previously-cached block) must surface the divergence (churned
     /// configurations only).
     SkipMigrationInvalidation,
+    /// Fill a tree-PLRU LLC without updating the tree, which is left
+    /// pointing at the way the fill just took (tree-PLRU LLCs only).
+    StalePlruFill,
+    /// Draw a Random LLC victim over every occupied way of the set instead
+    /// of the ways the filling VM's mask allows (partitioned Random LLCs
+    /// only: with a full mask the two lists are the same).
+    UnmaskedRandomVictim,
 }
 
 /// One cache line as the model sees it.
@@ -88,8 +99,7 @@ struct Slot {
     touched: u64,
     /// Physical way index. Fills take the lowest free way and evictions
     /// reuse the victim's way, mirroring the engine — which makes masked
-    /// fills, tree-PLRU and Random way-exact. The static-quota path never
-    /// consults it.
+    /// fills, tree-PLRU and Random way-exact.
     way: usize,
 }
 
@@ -110,13 +120,16 @@ enum Victims {
 
 /// A set-associative cache as flat per-set vectors: the reference for
 /// `SetAssocCache` under all three replacement policies, masked fills
-/// included. The oracle's machine model uses it LRU-only.
+/// included. The machine model uses it for every cache: LRU for the
+/// private levels, the configured policy for the LLC banks.
 #[derive(Debug, Clone)]
 struct NaiveCache {
     num_sets: u64,
     ways: usize,
     sets: Vec<Vec<Slot>>,
     victims: Victims,
+    /// Injected victim-choice bug (mutation testing); LLC banks only.
+    mutation: Option<Mutation>,
 }
 
 impl NaiveCache {
@@ -137,6 +150,7 @@ impl NaiveCache {
             ways,
             sets: vec![Vec::new(); num_sets],
             victims,
+            mutation: None,
         }
     }
 
@@ -211,7 +225,9 @@ impl NaiveCache {
     }
 
     /// Puts a fresh line for `block` in `way` of `set`, replacing the
-    /// slot at `evict` if given, and touches it. Returns the evicted line.
+    /// slot at `evict` if given, and touches it (the fresh slot already
+    /// carries the stamp, so the touch only updates tree-PLRU bits).
+    /// Returns the evicted line.
     fn place(
         &mut self,
         set: usize,
@@ -234,7 +250,9 @@ impl NaiveCache {
                 (self.sets[set].len() - 1, None)
             }
         };
-        self.touch(set, i, now);
+        if self.mutation != Some(Mutation::StalePlruFill) {
+            self.touch(set, i, now);
+        }
         victim
     }
 
@@ -243,49 +261,13 @@ impl NaiveCache {
         self.insert_masked(block, state, now, u64::MAX)
     }
 
-    /// Fill under a per-VM way quota — the model's view of the engine's
-    /// masked `insert_in_ways` under *static* partitioning, LRU only.
-    /// Because the per-VM way masks are disjoint and every allocation is
-    /// confined to the inserting VM's mask, a mask's ways only ever hold
-    /// that VM's lines; "evict the LRU way inside the mask" is therefore
-    /// exactly "evict the VM's LRU line in the set", and the mask width
-    /// reduces to a line-count quota.
-    fn insert_with_quota(
-        &mut self,
-        block: BlockAddr,
-        state: LineState,
-        now: u64,
-        quota: usize,
-    ) -> Option<Slot> {
-        debug_assert!(matches!(self.victims, Victims::Lru), "quotas are LRU-only");
-        let set = self.set_of(block);
-        if self.update_in_place(set, block, state, now) {
-            return None;
-        }
-        let vm = block.vm();
-        let lines = &self.sets[set];
-        if lines.iter().filter(|s| s.block.vm() == vm).count() < quota {
-            let way = Self::free_way(lines, self.ways, u64::MAX)
-                .expect("quotas sum to the associativity, so a slot is free");
-            return self.place(set, block, state, now, way, None);
-        }
-        let lru = (0..lines.len())
-            .filter(|&i| lines[i].block.vm() == vm)
-            .min_by_key(|&i| lines[i].touched)
-            .expect("quota ways are nonzero");
-        let way = lines[lru].way;
-        self.place(set, block, state, now, way, Some(lru))
-    }
-
     /// Fill confined to the ways in `mask` — the way-exact mirror of the
-    /// engine's `insert_in_ways`, used for *dynamic* partitioning, where
-    /// masks change while the cache is occupied and the count-based quota
-    /// reduction of [`NaiveCache::insert_with_quota`] no longer holds (a
-    /// VM's lines linger in ways it lost until the new owner evicts them).
-    /// A block present anywhere in the set (even outside the mask) updates
-    /// in place; otherwise the lowest allowed free way is taken; otherwise
-    /// the policy's victim among the masked ways — whoever it belongs to —
-    /// is evicted.
+    /// engine's `insert_in_ways`, for static and dynamic partitions alike
+    /// (a dynamic VM's lines linger in ways it lost until the new owner
+    /// evicts them). A block present anywhere in the set (even outside the
+    /// mask) updates in place; otherwise the lowest allowed free way is
+    /// taken; otherwise the policy's victim among the masked ways —
+    /// whoever it belongs to — is evicted.
     fn insert_masked(
         &mut self,
         block: BlockAddr,
@@ -340,6 +322,11 @@ impl NaiveCache {
                     node = 2 * node + 1 + right as usize;
                 }
                 prefix
+            }
+            Victims::Random(rngs) if self.mutation == Some(Mutation::UnmaskedRandomVictim) => {
+                let mut occupied: Vec<usize> = self.sets[set].iter().map(|s| s.way).collect();
+                occupied.sort_unstable();
+                occupied[rngs[set].index(occupied.len())]
             }
             Victims::Random(rngs) => allowed[rngs[set].index(allowed.len())],
         }
@@ -774,11 +761,9 @@ pub struct RefModel {
     llc: Vec<NaiveCache>,
     directory: NaiveDirectory,
     counters: Vec<ModelCounters>,
-    /// Per-VM LLC way quotas under *static* way partitioning (the popcount
-    /// of each VM's allowed-way mask).
-    llc_quotas: Option<Vec<usize>>,
-    /// Current per-VM way masks under *dynamic* partitioning; swapped by
-    /// [`RefModel::repartition`] as decisions are verified.
+    /// Per-VM LLC way masks of a partitioned LLC: fixed when static,
+    /// swapped by [`RefModel::repartition`] as dynamic decisions are
+    /// verified.
     llc_masks: Option<Vec<u64>>,
     /// Independent controller mirror, dynamic partitioning only.
     qos: Option<NaiveQos>,
@@ -791,69 +776,50 @@ pub struct RefModel {
 }
 
 impl RefModel {
-    /// Builds an empty model of `machine` hosting `num_vms` VMs.
-    pub fn new(machine: &MachineConfig, num_vms: usize) -> Self {
-        let geom = |g: consim_types::config::CacheGeometry| (g.num_sets(), g.associativity);
-        let (l0_sets, l0_ways) = geom(machine.l0);
-        let (l1_sets, l1_ways) = geom(machine.l1);
+    /// Builds an empty model of the machine `config` runs: its caches,
+    /// the LLC's replacement policy and way masks, one counter block per
+    /// VM and, on a churned machine, the lifecycle mirror, which draws
+    /// from the config's seed and places each VM's threads.
+    pub fn new(config: &SimulationConfig) -> Self {
+        let machine = &config.machine;
+        let num_vms = config.workloads.len();
         let bank = machine.llc_bank_geometry();
-        let (llc_sets, llc_ways) = (bank.num_sets(), bank.associativity);
-        let masks = machine
+        let llc_masks = machine
             .llc_partitioning
-            .way_masks(llc_ways, num_vms)
+            .way_masks(bank.associativity, num_vms)
             .expect("partitioning validated by the simulation builder");
-        let (llc_quotas, llc_masks, qos) = match &machine.llc_partitioning {
-            LlcPartitioning::Dynamic(policy) => {
-                let total_lines = (machine.llc_banks() * bank.num_lines()) as u64;
-                (
-                    None,
-                    masks,
-                    Some(NaiveQos::new(
-                        policy.clone(),
-                        llc_ways,
-                        num_vms,
-                        total_lines,
-                    )),
-                )
-            }
-            _ => (
-                masks.map(|m| m.iter().map(|m| m.count_ones() as usize).collect()),
-                None,
-                None,
-            ),
+        let qos = match &machine.llc_partitioning {
+            LlcPartitioning::Dynamic(policy) => Some(NaiveQos::new(
+                policy.clone(),
+                bank.associativity,
+                num_vms,
+                (machine.llc_banks() * bank.num_lines()) as u64,
+            )),
+            _ => None,
+        };
+        let churn = machine.churn.clone().map(|policy| {
+            let threads = config.workloads.iter().map(|w| w.threads).collect();
+            NaiveChurn::new(policy, config.seed, threads, machine.num_cores)
+        });
+        let caches = |count: usize, g: CacheGeometry, policy| {
+            (0..count)
+                .map(|_| NaiveCache::new(g.num_sets(), g.associativity, policy))
+                .collect()
         };
         Self {
             mesh_width: machine.mesh_width,
             cores_per_bank: machine.cores_per_bank(),
-            l0: (0..machine.num_cores)
-                .map(|_| NaiveCache::new(l0_sets, l0_ways, ReplacementPolicy::Lru))
-                .collect(),
-            l1: (0..machine.num_cores)
-                .map(|_| NaiveCache::new(l1_sets, l1_ways, ReplacementPolicy::Lru))
-                .collect(),
-            llc: (0..machine.llc_banks())
-                .map(|_| NaiveCache::new(llc_sets, llc_ways, ReplacementPolicy::Lru))
-                .collect(),
+            l0: caches(machine.num_cores, machine.l0, ReplacementPolicy::Lru),
+            l1: caches(machine.num_cores, machine.l1, ReplacementPolicy::Lru),
+            llc: caches(machine.llc_banks(), bank, config.llc_replacement),
             directory: NaiveDirectory::default(),
             counters: vec![ModelCounters::default(); num_vms],
-            llc_quotas,
             llc_masks,
             qos,
-            churn: None,
+            churn,
             now: 0,
             mutation: None,
         }
-    }
-
-    /// Activates the lifecycle mirror for a churned machine. `seed` is the
-    /// simulation seed (the draw streams derive from it) and `vm_threads`
-    /// the per-VM thread counts. Must be called before the run when the
-    /// machine carries a [`ChurnPolicy`]; without it, the first
-    /// [`RefModel::churn`] call reports a divergence.
-    pub fn with_churn(mut self, policy: ChurnPolicy, seed: u64, vm_threads: Vec<usize>) -> Self {
-        let num_cores = self.l1.len();
-        self.churn = Some(NaiveChurn::new(policy, seed, vm_threads, num_cores));
-        self
     }
 
     /// Advances the logical clock: one tick per recency-touching cache
@@ -864,9 +830,12 @@ impl RefModel {
         self.now
     }
 
-    /// Installs a deliberate bug (mutation testing).
-    pub fn with_mutation(mut self, mutation: Mutation) -> Self {
-        self.mutation = Some(mutation);
+    /// Installs a deliberate bug, if any (mutation testing).
+    pub fn with_mutation(mut self, mutation: Option<Mutation>) -> Self {
+        self.mutation = mutation;
+        for bank in &mut self.llc {
+            bank.mutation = mutation;
+        }
         self
     }
 
@@ -1199,25 +1168,18 @@ impl RefModel {
         self.l0[core].insert(block, state, t);
     }
 
-    /// LLC fill, honoring the way quotas (static partitioning) or the
-    /// current way masks (dynamic partitioning) when active; dirty victims
-    /// write back to memory, which has no content representation here.
+    /// LLC fill, confined to the filling VM's ways when the LLC is
+    /// partitioned; dirty victims write back to memory, which has no
+    /// content representation here.
     fn fill_llc(&mut self, bank: usize, block: BlockAddr, state: LineState) {
         let t = self.tick();
-        if self.mutation != Some(Mutation::IgnoreWayQuotas) {
-            if let Some(masks) = &self.llc_masks {
-                let mask = masks.get(block.vm().index()).copied().unwrap_or(u64::MAX);
-                self.llc[bank].insert_masked(block, state, t, mask);
-                return;
+        let mask = match &self.llc_masks {
+            Some(masks) if self.mutation != Some(Mutation::IgnoreWayQuotas) => {
+                masks[block.vm().index()]
             }
-            if let Some(quotas) = &self.llc_quotas {
-                if let Some(quota) = quotas.get(block.vm().index()).copied() {
-                    self.llc[bank].insert_with_quota(block, state, t, quota);
-                    return;
-                }
-            }
-        }
-        self.llc[bank].insert(block, state, t);
+            _ => u64::MAX,
+        };
+        self.llc[bank].insert_masked(block, state, t, mask);
     }
 
     /// LLC lines currently held per VM across every bank — the quantity
@@ -1586,10 +1548,20 @@ mod tests {
     use super::*;
     use consim_cache::{CacheLine, SetAssocCache};
     use consim_snap::{SectionBuf, SectionReader, Snapshot};
-    use consim_types::{CacheGeometry, VmId};
+    use consim_types::config::{MachineConfig, SharingDegree};
+    use consim_types::VmId;
+    use consim_workload::WorkloadProfileBuilder;
 
-    fn machine() -> MachineConfig {
-        MachineConfig::paper_default()
+    /// A model of `machine` hosting one VM.
+    fn model_of(machine: MachineConfig) -> RefModel {
+        let mut b = SimulationConfig::builder();
+        b.machine(machine)
+            .workload(WorkloadProfileBuilder::new("vm").build().unwrap());
+        RefModel::new(&b.build().unwrap())
+    }
+
+    fn paper_model() -> RefModel {
+        model_of(MachineConfig::paper_default())
     }
 
     fn blk(n: u64) -> BlockAddr {
@@ -1612,7 +1584,7 @@ mod tests {
 
     #[test]
     fn cold_read_goes_to_memory() {
-        let mut m = RefModel::new(&machine(), 1);
+        let mut m = paper_model();
         let step = read_step(0, blk(1));
         let out = m.apply(&step);
         assert_eq!(out, StepOutcome::Miss(MissSource::Memory));
@@ -1623,7 +1595,7 @@ mod tests {
 
     #[test]
     fn second_reader_is_clean_c2c() {
-        let mut m = RefModel::new(&machine(), 1);
+        let mut m = paper_model();
         m.apply(&read_step(0, blk(1)));
         let out = m.apply(&read_step(1, blk(1)));
         assert_eq!(out, StepOutcome::Miss(MissSource::RemoteL1Clean));
@@ -1631,7 +1603,7 @@ mod tests {
 
     #[test]
     fn write_after_remote_read_is_dirty_transfer_chain() {
-        let mut m = RefModel::new(&machine(), 1);
+        let mut m = paper_model();
         let mut w = read_step(0, blk(1));
         w.is_write = true;
         m.apply(&w);
@@ -1811,10 +1783,7 @@ mod tests {
 
     #[test]
     fn replication_counts_multi_bank_blocks() {
-        let mut m = RefModel::new(
-            &machine().with_sharing(consim_types::config::SharingDegree::Private),
-            1,
-        );
+        let mut m = model_of(MachineConfig::paper_default().with_sharing(SharingDegree::Private));
         m.prewarm(BankId::new(0), blk(1));
         m.prewarm(BankId::new(1), blk(1));
         m.prewarm(BankId::new(2), blk(2));

@@ -2,10 +2,10 @@
 //!
 //! Given a case whose differential run fails, [`shrink`] repeatedly tries
 //! an ordered list of parameter-level reductions — keep a single VM, jump
-//! the core count down, cut threads, quotas, footprints, and cache sizes —
-//! and accepts the *first* candidate that is strictly smaller (by
-//! [`FuzzCase::size`]) and still fails, then restarts from the top of the
-//! list. Restarting gives the structurally dominant reductions (VMs,
+//! the core count down, cut threads, quotas, footprints, and cache sizes,
+//! fall back to an LRU LLC — and accepts the *first* candidate that is
+//! strictly smaller (by [`FuzzCase::size`]) and still fails, then restarts
+//! from the top of the list. Restarting gives the structurally dominant reductions (VMs,
 //! cores) another chance after every acceptance, which avoids the local
 //! minimum where a tiny reference quota pins an otherwise shrinkable
 //! machine. Strict size decrease bounds the loop.
@@ -13,6 +13,7 @@
 use crate::cases::FuzzCase;
 use crate::diff::run_case;
 use crate::model::Mutation;
+use consim_cache::ReplacementPolicy;
 use consim_types::config::LlcPartitioning;
 
 /// Generates shrink candidates for `case`, most aggressive first. Each is
@@ -40,7 +41,7 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         out.push(c);
     }
     // Jump the machine straight down, smallest first.
-    for target in [1usize, 2, 4, 8] {
+    for target in [1usize, 2, 4, 8, 16, 32] {
         if target < case.num_cores {
             let mut c = case.clone();
             c.num_cores = target;
@@ -88,6 +89,12 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     if case.reschedule_every.is_some() {
         let mut c = case.clone();
         c.reschedule_every = None;
+        out.push(c);
+    }
+    // A case that still fails under LRU rules the LLC policy out.
+    if case.llc_replacement != ReplacementPolicy::Lru {
+        let mut c = case.clone();
+        c.llc_replacement = ReplacementPolicy::Lru;
         out.push(c);
     }
     if case.llc_partitioning != LlcPartitioning::None {
@@ -192,6 +199,40 @@ mod tests {
             small.vms.len()
         );
         assert!(small.size() <= failing.size());
+    }
+
+    /// `mutation`'s first failing generated case among those `applies`
+    /// selects shrinks to a strictly smaller case that still diverges and
+    /// still has what the mutation needs.
+    fn assert_shrinks(mutation: Mutation, applies: impl Fn(&FuzzCase) -> bool) {
+        let failing = (0..1_000)
+            .map(FuzzCase::generate)
+            .filter(|c| applies(c))
+            .find(|c| run_case(c, Some(mutation)).is_failure())
+            .unwrap_or_else(|| panic!("{mutation:?} was never caught"));
+        let small = shrink(&failing, Some(mutation));
+        assert!(
+            matches!(run_case(&small, Some(mutation)), CaseOutcome::Divergence(_)),
+            "{mutation:?}: shrunk case no longer diverges: {small:?}"
+        );
+        assert!(
+            small.size() < failing.size(),
+            "{mutation:?}: seed {} did not shrink",
+            failing.case_seed
+        );
+        assert!(applies(&small), "{mutation:?}: {small:?}");
+    }
+
+    #[test]
+    fn llc_mutations_are_caught_and_shrink() {
+        let partitioned = |c: &FuzzCase| c.llc_partitioning != LlcPartitioning::None;
+        assert_shrinks(Mutation::IgnoreWayQuotas, partitioned);
+        assert_shrinks(Mutation::StalePlruFill, |c| {
+            c.llc_replacement == ReplacementPolicy::TreePlru
+        });
+        assert_shrinks(Mutation::UnmaskedRandomVictim, |c| {
+            c.llc_replacement == ReplacementPolicy::Random && partitioned(c)
+        });
     }
 
     #[test]

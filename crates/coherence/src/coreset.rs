@@ -28,8 +28,8 @@ impl CoreSet {
     /// The empty set.
     pub const EMPTY: CoreSet = CoreSet(0);
 
-    /// Maximum representable core index.
-    pub const MAX_CORES: usize = 64;
+    /// Number of representable cores: the machine's core limit.
+    pub const MAX_CORES: usize = consim_types::MAX_CORES;
 
     /// A set containing a single core.
     pub fn singleton(core: CoreId) -> Self {

@@ -56,7 +56,7 @@ use consim_coherence::{AccessKind, Directory, DirectoryCache, ProtocolStats};
 use consim_noc::{ContentionModel, NocStats, ReservationCalendar};
 use consim_sched::{place, Placement, SchedulingPolicy};
 use consim_trace::{EventClass, TraceEvent, TraceSink};
-use consim_types::config::{LlcPartitioning, MachineConfig};
+use consim_types::config::{LlcPartitioning, MachineConfig, MAX_CORES};
 use consim_types::{BankId, BlockAddr, CoreId, Cycle, GlobalThreadId, SimError, SimRng, VmId};
 use consim_workload::{MemRef, WorkloadGenerator, WorkloadProfile};
 use std::cmp::Reverse;
@@ -263,9 +263,23 @@ impl SimulationConfigBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if no workloads were added, a
-    /// profile is invalid, the quota is zero, or the mix oversubscribes the
-    /// machine.
+    /// profile is invalid, the quota is zero, the mix oversubscribes the
+    /// machine, the machine has more than [`MAX_CORES`] cores (a machine
+    /// built by struct literal skips its own builder's check), or the LLC
+    /// is tree-PLRU with a way count that is not a power of two.
     pub fn build(&self) -> Result<SimulationConfig, SimError> {
+        if self.machine.num_cores > MAX_CORES {
+            return Err(SimError::invalid_config(format!(
+                "{} cores exceed the {MAX_CORES}-core limit",
+                self.machine.num_cores
+            )));
+        }
+        let llc_ways = self.machine.llc.associativity;
+        if self.llc_replacement == ReplacementPolicy::TreePlru && !llc_ways.is_power_of_two() {
+            return Err(SimError::invalid_config(format!(
+                "tree-PLRU needs a power-of-two LLC associativity, got {llc_ways} ways"
+            )));
+        }
         if self.workloads.is_empty() {
             return Err(SimError::invalid_config(
                 "at least one workload is required",

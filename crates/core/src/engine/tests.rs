@@ -70,6 +70,76 @@ mod behavior {
         assert!(b.build().is_err(), "20 threads on 16 cores");
     }
 
+    /// A config that passes the builders must construct: a 128-core
+    /// machine (its sharer sets would overflow the directory's 64-bit
+    /// masks) and a tree-PLRU LLC on 12 ways (its tree needs 2^k ways)
+    /// used to build and then panic in `Simulation::new`.
+    #[test]
+    fn builder_refuses_machines_the_engine_cannot_build() {
+        use consim_types::config::{CacheGeometry, MachineConfigBuilder, MAX_CORES};
+        let build = |machine: MachineConfig, llc: ReplacementPolicy| {
+            let mut b = SimulationConfig::builder();
+            b.machine(machine)
+                .llc_replacement(llc)
+                .workload(tiny_profile());
+            b.build()
+        };
+        let mut wide = MachineConfig::paper_default();
+        wide.num_cores = 2 * MAX_CORES;
+        wide.mesh_width = 16;
+        assert!(build(wide, ReplacementPolicy::Lru).is_err());
+        let twelve_way = MachineConfigBuilder::new()
+            .llc(CacheGeometry::new(12 << 20, 12, 6).unwrap())
+            .build()
+            .unwrap();
+        assert!(build(twelve_way.clone(), ReplacementPolicy::TreePlru).is_err());
+        assert!(build(twelve_way, ReplacementPolicy::Random).is_ok());
+        let max = MachineConfigBuilder::new()
+            .num_cores(MAX_CORES)
+            .mesh_width(8)
+            .build()
+            .unwrap();
+        assert!(build(max, ReplacementPolicy::Lru).is_ok());
+        assert!(build(MachineConfig::paper_default(), ReplacementPolicy::TreePlru).is_ok());
+    }
+
+    /// The largest machine the builders accept runs, with the top core's
+    /// bit in the directory's sharer masks in use: four 16-thread VMs fill
+    /// all 64 cores under a tree-PLRU LLC.
+    #[test]
+    fn sixty_four_core_machine_runs() {
+        use consim_types::config::{MachineConfigBuilder, MAX_CORES};
+        let machine = MachineConfigBuilder::new()
+            .num_cores(MAX_CORES)
+            .mesh_width(8)
+            .sharing(SharingDegree::SharedBy(4))
+            .num_memory_controllers(8)
+            .build()
+            .unwrap();
+        let profile = WorkloadProfileBuilder::new("wide")
+            .threads(16)
+            .footprint_blocks(4_000)
+            .shared_fraction(0.5)
+            .shared_access_prob(0.5)
+            .shared_write_prob(0.1)
+            .build()
+            .unwrap();
+        let mut b = SimulationConfig::builder();
+        b.machine(machine)
+            .llc_replacement(ReplacementPolicy::TreePlru)
+            .refs_per_vm(2_000)
+            .warmup_refs_per_vm(500)
+            .audit(true)
+            .seed(3);
+        for _ in 0..4 {
+            b.workload(profile.clone());
+        }
+        let out = Simulation::new(b.build().unwrap()).unwrap().run().unwrap();
+        assert_eq!(out.vm_metrics.len(), 4);
+        assert!(out.vm_metrics.iter().all(|m| m.completion.is_some()));
+        assert!(out.vm_metrics.iter().any(|m| m.c2c_fraction() > 0.0));
+    }
+
     #[test]
     fn single_vm_runs_to_completion() {
         let cfg = quick_config(SharingDegree::SharedBy(4), SchedulingPolicy::Affinity, 1);

@@ -541,6 +541,32 @@ mod tests {
             .is_some());
     }
 
+    /// A record can carry a configuration no builder would accept: here
+    /// one built by struct literal. Decoding runs the builders, so a
+    /// 128-core machine and a tree-PLRU LLC on 12 ways come back as
+    /// `Corrupt` (the daemon answers "bad config record" before journaling
+    /// the submission), not as a config that panics in `Simulation::new`.
+    #[test]
+    fn config_record_the_builders_refuse_is_corrupt() {
+        use consim_cache::ReplacementPolicy;
+        use consim_types::config::{CacheGeometry, MAX_CORES};
+        let mut wide = outcome_config();
+        wide.machine.num_cores = 2 * MAX_CORES;
+        wide.machine.mesh_width = 16;
+        let mut twelve_way = outcome_config();
+        twelve_way.machine.llc = CacheGeometry::new(12 << 20, 12, 6).unwrap();
+        twelve_way.llc_replacement = ReplacementPolicy::TreePlru;
+        for (name, config) in [("128 cores", wide), ("12-way tree-PLRU", twelve_way)] {
+            let bytes = config_to_bytes(&config).unwrap();
+            let err = config_from_bytes(&bytes).unwrap_err();
+            assert_eq!(
+                err.snapshot_kind(),
+                Some(SnapshotErrorKind::Corrupt),
+                "{name}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn spec_record_round_trips_cell_and_config() {
         let dir = std::env::temp_dir().join(format!("consim-persist-spec-{}", std::process::id()));

@@ -9,6 +9,10 @@ use crate::addr::CACHE_LINE_BYTES;
 use crate::error::SimError;
 use std::fmt;
 
+/// The most cores a machine may have: the directory's sharer sets are
+/// 64-bit masks. [`MachineConfigBuilder::build`] refuses more.
+pub const MAX_CORES: usize = 64;
+
 /// How many cores share each last-level-cache bank.
 ///
 /// The paper's continuum from private to fully shared:
@@ -524,7 +528,7 @@ impl CacheGeometry {
 /// Full machine description (the paper's Table III plus simulator knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
-    /// Number of in-order cores (16 in the paper).
+    /// Number of in-order cores (16 in the paper; at most [`MAX_CORES`]).
     pub num_cores: usize,
     /// Mesh width; the mesh is `mesh_width x (num_cores / mesh_width)`.
     pub mesh_width: usize,
@@ -814,6 +818,7 @@ impl MachineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if:
+    /// * the core count exceeds [`MAX_CORES`];
     /// * the mesh width does not divide the core count;
     /// * the sharing degree does not divide the core count;
     /// * the LLC cannot be split into equal banks of whole sets;
@@ -822,6 +827,12 @@ impl MachineConfigBuilder {
     pub fn build(&self) -> Result<MachineConfig, SimError> {
         if self.num_cores == 0 {
             return Err(SimError::invalid_config("machine needs at least one core"));
+        }
+        if self.num_cores > MAX_CORES {
+            return Err(SimError::invalid_config(format!(
+                "{} cores exceed the {MAX_CORES}-core limit",
+                self.num_cores
+            )));
         }
         if self.mesh_width == 0 || !self.num_cores.is_multiple_of(self.mesh_width) {
             return Err(SimError::invalid_config(format!(
@@ -958,6 +969,18 @@ mod tests {
         assert!(err.contains("multiple of 8"), "unexpected error: {err}");
         b.directory_cache_entries(16);
         assert!(b.build().is_ok());
+    }
+
+    #[test]
+    fn core_count_is_capped_at_max_cores() {
+        // The directory's sharer sets are 64-bit masks: a larger machine
+        // used to pass this builder and panic at simulation construction.
+        let mut b = MachineConfigBuilder::new();
+        b.num_cores(2 * MAX_CORES).mesh_width(16);
+        let err = b.build().unwrap_err().to_string();
+        assert!(err.contains("64-core limit"), "unexpected error: {err}");
+        b.num_cores(MAX_CORES).mesh_width(8);
+        assert_eq!(b.build().unwrap().num_cores, 64);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod rng;
 pub use addr::{Address, BlockAddr, CACHE_LINE_BYTES};
 pub use config::{
     CacheGeometry, ChurnPolicy, DynamicPolicy, LlcPartitioning, MachineConfig, SharingDegree,
+    MAX_CORES,
 };
 pub use cycles::Cycle;
 pub use error::{SimError, SnapshotErrorKind};
